@@ -27,8 +27,8 @@ is spectrally accurate, so the gap tracks the Marchaud error.
 """
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy import special as _sp
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .grids import GridFunction
 from .incgamma import lower_gamma, upper_gamma
@@ -57,9 +57,19 @@ def _reversed(f):
     return GridFunction(f.grid, f.values[::-1].copy())
 
 
+def fft_convolver(kernel, n):
+    """Full linear convolution x -> x * kernel of inputs of length n, from
+    a kernel spectrum taken once.  FFT length and product order are those
+    of scipy.signal.fftconvolve(x, kernel): the two agree bit for bit."""
+    m = n + len(kernel) - 1
+    nfft = next_fast_len(m, real=True)
+    spectrum = rfft(kernel, nfft)
+    return lambda x: irfft(rfft(x, nfft) * spectrum, nfft)[:m]
+
+
 def _correlate(weights, values, n):
     """out_j = sum_p weights[p] * values[j+p], j = 0..n."""
-    conv = fftconvolve(weights, values[::-1])
+    conv = fft_convolver(values[::-1], len(weights))(weights)
     return conv[: n + 1][::-1]
 
 

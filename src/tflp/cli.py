@@ -12,7 +12,7 @@ timestamps, floats are written as %.17g, JSON keys are sorted.
 
 Config precedence: flags > config file (--config, flat key=value with
 '#' comments, keys match the long flag names with '-' -> '_') >
-defaults.  TFLP_WORKERS sets the default worker count for ensembles.
+defaults.
 
 Exit codes: 0 success, 1 verification failure, 2 parameter error,
 3 numeric tolerance failure.
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,8 +33,8 @@ from .driver import sample_increments, second_moment, spec_from_config
 from .errors import ParameterError, ToleranceError
 from .grids import GridFunction, SampleGrid
 from .integration import ElementaryFunction, transform_integrand
-from .processes import (TemperedParams, kernel_g1, kernel_g2, noise_path,
-                        simulate_tflp1, simulate_tflp2)
+from .processes import (TemperedParams, _unit_lag_noise, kernel_g1, kernel_g2,
+                        simulate_ensemble)
 from .special import gamma_fn
 
 __all__ = ["main"]
@@ -106,13 +104,6 @@ def load_config_file(path):
     return cfg
 
 
-def _workers():
-    try:
-        return max(1, int(os.environ.get("TFLP_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 # every value the commands consume, with type and default; config files and
 # flags both resolve into this table
 _FIELDS = {
@@ -171,29 +162,17 @@ def run_simulate(cfg):
         raise ParameterError(f"unknown kind {cfg['kind']!r}")
     if cfg["out"] is None:
         raise ParameterError("simulate: --out is required")
-    params = TemperedParams(cfg["d"], cfg["lam"])
-    driver = _driver_from_cfg(cfg)
+    if cfg["ensemble"] < 1:
+        raise ParameterError("simulate: --ensemble must be >= 1")
     grid = SampleGrid(0.0, cfg["tmax"], cfg["n"])
-    sim = simulate_tflp2 if cfg["kind"] in ("tflp2", "tfln2") else simulate_tflp1
-
-    def one(stream):
-        path = sim(params, grid, driver, cfg["trunc_width"], cfg["seed"],
-                   refine=cfg["refine"], stream=stream)
-        if cfg["kind"].startswith("tfln"):
-            path = noise_path(path, cfg["unit_lag"])
-        return path
-
-    n_paths = cfg["ensemble"]
-    if n_paths == 1:
-        paths = [one(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            paths = list(pool.map(one, range(n_paths)))
-    t = paths[0].grid.points
-    names = ["t"] + [f"path{i}" for i in range(n_paths)]
-    units = ["time"] + ["value"] * n_paths
-    rows = np.column_stack([t] + [p.values for p in paths])
-    write_csv(cfg["out"], names, units, rows)
+    paths = simulate_ensemble("TFLP" + cfg["kind"][-1],
+                              TemperedParams(cfg["d"], cfg["lam"]), grid,
+                              _driver_from_cfg(cfg), cfg["seed"], cfg["ensemble"],
+                              cfg["trunc_width"], cfg["refine"])
+    if cfg["kind"].startswith("tfln"):
+        grid, paths = _unit_lag_noise(grid, paths, cfg["unit_lag"])
+    write_csv(cfg["out"], ["t"] + [f"path{i}" for i in range(len(paths))],
+              ["time"] + ["value"] * len(paths), np.column_stack([grid.points, paths.T]))
     write_manifest(cfg["out"], "simulate", cfg)
 
 
@@ -322,9 +301,8 @@ def _verify_covariance(cfg, table):
         lim = analytics.var_limit_tflp1(p)
         _check(table, f"plateau d={d}", plateau, lim, 1e-5 * lim)
     p = TemperedParams(0.3, 1.0)
-    from scipy import integrate as _si2
-    q, _ = _si2.quad(lambda y: kernel_g2(p, 1.0, y) ** 2, -60, 1.0,
-                     limit=800, epsabs=1e-13, epsrel=1e-11)
+    q, _ = _si.quad(lambda y: kernel_g2(p, 1.0, y) ** 2, -60, 1.0,
+                    limit=800, epsabs=1e-13, epsrel=1e-11)
     oracle = q / gamma_fn(1.3) ** 2
     _check(table, "cov2 quadrature d=0.3", analytics.cov_tflp2(p, 1.0, 1.0),
            oracle, 1e-5 * oracle)

@@ -16,7 +16,9 @@ fine grid are FFT-convolved with exact cell averages of the kernel
 window, so the (t-x)^d curvature or singularity at x = t is integrated
 in closed form rather than sampled.  The kernel lives on
 (-infinity, t]; the domain is truncated on the left where the
-exponential taper makes the neglected mass provably small.
+exponential taper makes the neglected mass provably small; more than
+_MAX_CELLS fine cells raise ToleranceError before any allocation.  The
+kernel spectrum is computed once per call and reused for every path.
 
 Closed forms used throughout: with w(u) = u_+^d e^{-lam u} and
 W(u) = int_0^{u_+} w = lam^{-d-1} gamma_lower(d+1, lam u_+),
@@ -33,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
+from .calculus import fft_convolver
 from .driver import LevyDriverSpec, sample_increments
+from .errors import ToleranceError
 from .grids import SampleGrid, SamplePath
 from .incgamma import lower_gamma, upper_gamma
 from .special import gamma_fn
@@ -47,6 +50,9 @@ __all__ = [
     "simulate_ensemble", "noise_path",
     "truncation_width", "total_variation",
 ]
+
+# most fine cells one simulation may use; at 2**24 its FFT buffers take about 1 GB
+_MAX_CELLS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -145,11 +151,17 @@ def truncation_width(params: TemperedParams, tol: float = 1e-10) -> float:
     return float(max(R, 1.0))
 
 
-def _cell_averages(kind, d, lam, dx, n_pos):
+def _cell_averages(kind, d, lam, dx, n_pos, smooth=False):
     """Exact cell averages over [p dx, (p+1) dx], p = 0..n_pos-1, of the
-    kernel window: w for type I, w + lam W for type II.  Uses
-    int_0^u W = u W(u) - lam^{-d-2} gamma_lower(d+2, lam u)."""
+    kernel window: w for type I, w + lam W for type II, using
+    int_0^u W = u W(u) - lam^{-d-2} gamma_lower(d+2, lam u); with smooth,
+    of the smooth regime's inner kernel w' (type I) or (w + lam W)' (II)."""
     edges = dx * np.arange(n_pos + 1)
+    if smooth:
+        anti = _w(edges, d, lam)
+        if kind == "TFLP2":
+            anti = anti + lam * _w_antideriv(edges, d, lam)
+        return np.diff(anti) / dx
     W = _w_antideriv(edges, d, lam)
     avg = np.diff(W) / dx
     if kind == "TFLP2":
@@ -159,6 +171,8 @@ def _cell_averages(kind, d, lam, dx, n_pos):
 
 
 def _prepare(kind, params, grid, trunc_width, refine):
+    if kind not in ("TFLP1", "TFLP2"):
+        raise ValueError("simulate: kind must be TFLP1 or TFLP2")
     if kind == "TFLP2" and params.d == 0.0:
         raise ValueError("simulate_tflp2: d = 0 is not admitted for type II")
     if grid.x_min != 0.0:
@@ -169,31 +183,48 @@ def _prepare(kind, params, grid, trunc_width, refine):
     dt = grid.dx / refine
     n_hist = int(np.ceil(R / dt))
     n_fine = grid.n_cells * refine
+    if n_hist + n_fine > _MAX_CELLS:
+        raise ToleranceError(
+            f"simulate: {n_hist + n_fine} fine cells exceed the budget of "
+            f"{_MAX_CELLS} (truncation width {R:.4g}, cell width {dt:.4g})")
     fine = SampleGrid(-n_hist * dt, grid.x_max, n_hist + n_fine)
     return R, dt, n_hist, n_fine, fine
 
 
-def _meta(kind, params, driver, seed, stream, refine, R):
-    return {
-        "kind": kind, "d": params.d, "lam": params.lam, "seed": seed,
-        "stream": stream, "refine": refine, "trunc_width": R,
-        "driver": repr(driver),
-    }
-
-
-def _simulate(kind, params, grid, driver, trunc_width, seed, refine, stream):
+def _simulate_streams(kind, params, grid, driver, trunc_width, seed, refine,
+                      streams, smooth=False):
+    """Paths of the given RNG streams, one row each, from one kernel
+    spectrum; returns the (len(streams), n_points) array and the
+    truncation width.  smooth selects simulate_smooth_regime's route."""
     R, dt, n_hist, n_fine, fine = _prepare(kind, params, grid, trunc_width, refine)
-    dL = sample_increments(driver, fine, seed, stream=stream)
-    g_bar = _cell_averages(kind, params.d, params.lam, dt, n_hist + n_fine)
-    conv = fftconvolve(dL, g_bar)[: n_hist + n_fine]
-    # conv[m] = sum_j dL[j] g_bar[m-j] ~ int G(edge_{m+1} - x) dL(x); the
-    # kernel is G(t-x) - G(-x), so S(t) is a difference of two lags
-    base = conv[n_hist - 1]
-    idx = n_hist - 1 + refine * np.arange(grid.n_cells + 1)
-    values = (conv[idx] - base) / gamma_fn(1.0 + params.d)
-    values[0] = 0.0
-    return SamplePath(grid, values, kind,
-                      _meta(kind, params, driver, seed, stream, refine, R))
+    n = n_hist + n_fine
+    convolve = fft_convolver(_cell_averages(kind, params.d, params.lam, dt, n, smooth), n)
+    lags = refine * np.arange(grid.n_cells + 1)
+    out = np.empty((len(streams), grid.n_cells + 1))
+    for row, stream in zip(out, streams):
+        conv = convolve(sample_increments(driver, fine, seed, stream=stream))
+        if smooth:
+            # Z(s) at s = 0, dt, ..., t_max, integrated by the trapezoid rule
+            Z = conv[n_hist - 1:n]
+            row[:] = np.concatenate(([0.0], np.cumsum(0.5 * (Z[1:] + Z[:-1]) * dt)))[lags]
+        else:
+            # conv[m] = sum_j dL[j] g_bar[m-j] ~ int G(edge_{m+1} - x) dL(x); the
+            # kernel is G(t-x) - G(-x), so S(t) is a difference of two lags
+            row[:] = conv[n_hist - 1 + lags] - conv[n_hist - 1]
+    out /= gamma_fn(1.0 + params.d)
+    out[:, 0] = 0.0
+    return out, R
+
+
+def _path(kind, params, grid, driver, trunc_width, seed, refine, stream, smooth=False):
+    values, R = _simulate_streams(kind, params, grid, driver, trunc_width, seed,
+                                  refine, [stream], smooth)
+    meta = {"kind": kind, "d": params.d, "lam": params.lam, "seed": seed,
+            "stream": stream, "refine": refine, "trunc_width": R,
+            "driver": repr(driver)}
+    if smooth:
+        meta["representation"] = "smooth_regime"
+    return SamplePath(grid, values[0], kind, meta)
 
 
 def simulate_tflp1(params: TemperedParams, obs_grid: SampleGrid,
@@ -205,16 +236,14 @@ def simulate_tflp1(params: TemperedParams, obs_grid: SampleGrid,
     rate; path generation is a pure function of (params, grid, driver,
     seed, stream).
     """
-    return _simulate("TFLP1", params, obs_grid, driver, trunc_width, seed,
-                     refine, stream)
+    return _path("TFLP1", params, obs_grid, driver, trunc_width, seed, refine, stream)
 
 
 def simulate_tflp2(params: TemperedParams, obs_grid: SampleGrid,
                    driver: LevyDriverSpec, trunc_width: float = 0.0,
                    seed: int = 0, refine: int = 8, stream: int = 0) -> SamplePath:
     """Simulate a type II path; d must be nonzero.  See simulate_tflp1."""
-    return _simulate("TFLP2", params, obs_grid, driver, trunc_width, seed,
-                     refine, stream)
+    return _path("TFLP2", params, obs_grid, driver, trunc_width, seed, refine, stream)
 
 
 def simulate_smooth_regime(params: TemperedParams, obs_grid: SampleGrid,
@@ -231,28 +260,10 @@ def simulate_smooth_regime(params: TemperedParams, obs_grid: SampleGrid,
     the trapezoid rule on the fine grid; with the same seed it agrees
     pathwise with the direct simulators up to O(dt).
     """
-    if kind not in ("TFLP1", "TFLP2"):
-        raise ValueError("simulate_smooth_regime: kind must be TFLP1 or TFLP2")
     if not params.d > 0.5:
         raise ValueError("simulate_smooth_regime: requires d > 1/2")
-    d, lam = params.d, params.lam
-    R, dt, n_hist, n_fine, fine = _prepare(kind, params, obs_grid, trunc_width, refine)
-    dL = sample_increments(driver, fine, seed, stream=stream)
-    # cell averages of the inner kernel from its exact antiderivative:
-    # type I: w' has antiderivative w; type II: d u^{d-1} e^{-lam u} = (w + lam W)'
-    edges = dt * np.arange(n_hist + n_fine + 1)
-    anti = _w(edges, d, lam)
-    if kind == "TFLP2":
-        anti = anti + lam * _w_antideriv(edges, d, lam)
-    z_bar = np.diff(anti) / dt
-    conv = fftconvolve(dL, z_bar)[: n_hist + n_fine]
-    Z = conv[n_hist - 1:]                           # Z(s) at s = 0, dt, ..., t_max
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (Z[1:] + Z[:-1]) * dt)))
-    values = cum[refine * np.arange(obs_grid.n_cells + 1)] / gamma_fn(1.0 + d)
-    values[0] = 0.0
-    meta = _meta(kind, params, driver, seed, stream, refine, R)
-    meta["representation"] = "smooth_regime"
-    return SamplePath(obs_grid, values, kind, meta)
+    return _path(kind, params, obs_grid, driver, trunc_width, seed, refine, stream,
+                 smooth=True)
 
 
 def simulate_ensemble(kind: str, params: TemperedParams, obs_grid: SampleGrid,
@@ -261,14 +272,25 @@ def simulate_ensemble(kind: str, params: TemperedParams, obs_grid: SampleGrid,
     """Simulate n_paths independent paths; returns (n_paths, n_points).
 
     Path i uses RNG stream i of the given seed, so ensembles are
-    reproducible, extendable without overlap, and order independent.
+    reproducible, extendable without overlap, and order independent;
+    row i equals the single path of stream i bit for bit.
     """
-    sim = {"TFLP1": simulate_tflp1, "TFLP2": simulate_tflp2}[kind]
-    out = np.empty((n_paths, obs_grid.n_cells + 1))
-    for i in range(n_paths):
-        out[i] = sim(params, obs_grid, driver, trunc_width, seed,
-                     refine=refine, stream=i).values
-    return out
+    return _simulate_streams(kind, params, obs_grid, driver, trunc_width, seed,
+                             refine, range(n_paths))[0]
+
+
+def _unit_lag_noise(grid, values, unit_lag):
+    """Noise X(t_n) = S(t_n + unit_lag) - S(t_n) along the last axis of
+    path values on grid; returns the grid of the t_n and the noise."""
+    ratio = unit_lag / grid.dx
+    k = int(round(ratio))
+    if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
+        raise ValueError("noise: unit_lag must be a multiple of the grid step")
+    noise = np.diff(values[..., ::k], axis=-1)
+    n = noise.shape[-1]
+    if n < 2:
+        raise ValueError("noise: need at least two lags on the grid")
+    return SampleGrid(grid.x_min, grid.x_min + (n - 1) * unit_lag, n - 1), noise
 
 
 def noise_path(path: SamplePath, unit_lag: float = 1.0) -> SamplePath:
@@ -276,18 +298,8 @@ def noise_path(path: SamplePath, unit_lag: float = 1.0) -> SamplePath:
 
     unit_lag must be an integer multiple of the path's grid spacing.
     """
-    ratio = unit_lag / path.grid.dx
-    k = int(round(ratio))
-    if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
-        raise ValueError("noise_path: unit_lag must be a multiple of the grid step")
-    vals = path.values[::k]
-    noise = np.diff(vals)
-    if len(noise) < 2:
-        raise ValueError("noise_path: need at least two lags on the grid")
+    grid, noise = _unit_lag_noise(path.grid, path.values, unit_lag)
     kind = {"TFLP1": "TFLN1", "TFLP2": "TFLN2"}[path.kind]
-    # value at grid point n is X(t_n) = S(t_n + unit_lag) - S(t_n)
-    grid = SampleGrid(path.grid.x_min, path.grid.x_min + (len(noise) - 1) * unit_lag,
-                      len(noise) - 1)
     return SamplePath(grid, noise, kind,
                       dict(path.meta, derived="noise", unit_lag=unit_lag))
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tflp.calculus import (
-    GridTooNarrowError, fourier_multiplier, frac_derivative_minus,
-    frac_derivative_plus, frac_integral_minus, frac_integral_plus,
-    sobolev_norm,
+    GridTooNarrowError, fft_convolver, fourier_multiplier,
+    frac_derivative_minus, frac_derivative_plus, frac_integral_minus,
+    frac_integral_plus, sobolev_norm,
 )
 from tflp.grids import GridFunction, SampleGrid
 
@@ -16,6 +16,17 @@ from tflp.grids import GridFunction, SampleGrid
 def _bump(width=25.0, dx=2.0 ** -6):
     g = SampleGrid(-width, width, int(round(2 * width / dx)))
     return GridFunction.from_callable(g, lambda x: np.exp(-x ** 2))
+
+
+def test_fft_convolver_matches_scipy_signal_bit_for_bit():
+    from scipy.signal import fftconvolve
+    rng = np.random.default_rng(3)
+    for n, m in ((1, 1), (7, 3), (8, 8), (97, 1000), (1474, 1474), (2049, 31)):
+        kernel = rng.standard_normal(m)
+        convolve = fft_convolver(kernel, n)
+        for _ in range(2):
+            x = rng.standard_normal(n)
+            np.testing.assert_array_equal(convolve(x), fftconvolve(x, kernel))
 
 
 def test_integral_of_exponential_eigenfunction():

@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from tflp import processes
 from tflp.cli import main, read_csv
+from tflp.driver import CompoundPoisson, UniformSymmetric
+from tflp.grids import SampleGrid
+from tflp.processes import TemperedParams, noise_path, simulate_tflp1, simulate_tflp2
 
 
 def run(argv):
@@ -34,6 +38,24 @@ def test_simulate_ensemble_columns(tmp_path):
     assert names == ["t", "path0", "path1", "path2"]
     assert data.shape == (9, 4)
     assert not np.allclose(data[:, 1], data[:, 2])
+    p, g = TemperedParams(0.2, 1.0), SampleGrid(0.0, 1.0, 8)
+    driver = CompoundPoisson(1.0, UniformSymmetric(1.0))
+    for i in range(3):
+        path = simulate_tflp2(p, g, driver, seed=5, stream=i)
+        np.testing.assert_array_equal(data[:, 1 + i], path.values)
+
+
+def test_noise_ensemble_columns_are_single_path_noises(tmp_path):
+    out = tmp_path / "noise.csv"
+    assert run(["simulate", "tfln1", "--d", "0.2", "--lambda", "0.5", "--tmax", "8",
+                "--n", "16", "--ensemble", "2", "--seed", "3", "--out", out]) == 0
+    names, data = read_csv(out)
+    p, g = TemperedParams(0.2, 0.5), SampleGrid(0.0, 8.0, 16)
+    driver = CompoundPoisson(1.0, UniformSymmetric(1.0))
+    for i in range(2):
+        noise = noise_path(simulate_tflp1(p, g, driver, seed=3, stream=i))
+        np.testing.assert_array_equal(data[:, 0], noise.grid.points)
+        np.testing.assert_array_equal(data[:, 1 + i], noise.values)
 
 
 def test_noise_kind_produces_stationary_series(tmp_path):
@@ -114,10 +136,21 @@ def test_parameter_errors_exit_2(tmp_path):
     assert run(["simulate", "tflp1", "--d", "0.3", "--lambda", "0",
                 "--tmax", "1", "--n", "8", "--out", out]) == 2
     assert run(["simulate", "nosuch", "--out", out]) == 2
+    assert run(["simulate", "tflp1", "--d", "0.3", "--lambda", "1",
+                "--ensemble", "0", "--out", out]) == 2
     assert run(["analytic", "cov2", "--d", "-0.2", "--lambda", "1",
                 "--out", out]) == 2
     assert run(["estimate", "acvf", "--input", str(tmp_path / "missing.csv"),
                 "--out", out]) == 2
+
+
+def test_cell_budget_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(processes, "_MAX_CELLS", 100)
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "tflp1", "--d", "0.3", "--lambda", "1",
+                "--tmax", "1", "--n", "8", "--out", out]) == 3
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_suites_pass(tmp_path, capsys):

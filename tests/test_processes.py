@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
-from tflp.driver import CompoundPoisson, TwoPoint, UniformSymmetric, second_moment
+from tflp import processes
+from tflp.driver import (CompoundPoisson, TwoPoint, UniformSymmetric,
+                         sample_increments, second_moment)
+from tflp.errors import ToleranceError
 from tflp.grids import SampleGrid
 from tflp.processes import (
-    TemperedParams, kernel_g1, kernel_g2, kernel_g2_dual, noise_path,
-    simulate_ensemble, simulate_smooth_regime, simulate_tflp1,
-    simulate_tflp2, total_variation, truncation_width,
+    TemperedParams, _cell_averages, _w, _w_antideriv, kernel_g1, kernel_g2,
+    kernel_g2_dual, noise_path, simulate_ensemble, simulate_smooth_regime,
+    simulate_tflp1, simulate_tflp2, total_variation, truncation_width,
 )
+from tflp.special import gamma_fn
 
 CP = CompoundPoisson(intensity=2.0, jump_law=UniformSymmetric(a=1.0))
 
@@ -158,3 +163,57 @@ def test_noise_path_reads_unit_lag_differences():
 
 def test_total_variation():
     assert total_variation(np.array([0.0, 1.0, -1.0, 0.5])) == 4.5
+
+
+def _reference_path(kind, p, g, driver, seed, stream, refine, smooth=False):
+    """One path by the original per-path recipe: fresh increments and
+    kernel cell averages, scipy.signal.fftconvolve, then the lag read."""
+    dt = g.dx / refine
+    n_hist = int(np.ceil(truncation_width(p) / dt))
+    n = n_hist + g.n_cells * refine
+    dL = sample_increments(driver, SampleGrid(-n_hist * dt, g.x_max, n), seed,
+                           stream=stream)
+    lags = refine * np.arange(g.n_cells + 1)
+    if smooth:
+        edges = dt * np.arange(n + 1)
+        anti = _w(edges, p.d, p.lam)
+        if kind == "TFLP2":
+            anti = anti + p.lam * _w_antideriv(edges, p.d, p.lam)
+        Z = fftconvolve(dL, np.diff(anti) / dt)[:n][n_hist - 1:]
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (Z[1:] + Z[:-1]) * dt)))
+        values = cum[lags] / gamma_fn(1.0 + p.d)
+    else:
+        conv = fftconvolve(dL, _cell_averages(kind, p.d, p.lam, dt, n))[:n]
+        values = (conv[n_hist - 1 + lags] - conv[n_hist - 1]) / gamma_fn(1.0 + p.d)
+    values[0] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("d, lam", [(0.7, 0.5), (1.3, 2.0)])
+def test_simulators_are_bit_identical_to_reference_recipe(d, lam):
+    p = TemperedParams(d, lam)
+    g = SampleGrid(0.0, 2.0, 16)
+    for kind, sim in (("TFLP1", simulate_tflp1), ("TFLP2", simulate_tflp2)):
+        refs = [_reference_path(kind, p, g, CP, 4, i, 4) for i in range(3)]
+        np.testing.assert_array_equal(sim(p, g, CP, seed=4, refine=4,
+                                          stream=2).values, refs[2])
+        np.testing.assert_array_equal(
+            simulate_ensemble(kind, p, g, CP, seed=4, n_paths=3, refine=4),
+            np.array(refs))
+        smooth = simulate_smooth_regime(p, g, CP, seed=4, kind=kind, refine=4,
+                                        stream=1)
+        np.testing.assert_array_equal(
+            smooth.values, _reference_path(kind, p, g, CP, 4, 1, 4, smooth=True))
+
+
+def test_cell_budget_raises_before_allocating(monkeypatch):
+    # about 1.5e3 history cells against a budget of 100
+    monkeypatch.setattr(processes, "_MAX_CELLS", 100)
+    p = TemperedParams(0.3, 1.0)
+    g = SampleGrid(0.0, 1.0, 8)
+    with pytest.raises(ToleranceError, match="budget"):
+        simulate_tflp1(p, g, CP)
+    with pytest.raises(ToleranceError, match="budget"):
+        simulate_ensemble("TFLP2", p, g, CP, seed=0, n_paths=2)
+    with pytest.raises(ToleranceError, match="budget"):
+        simulate_smooth_regime(TemperedParams(0.8, 1.0), g, CP)
