@@ -26,7 +26,7 @@ from .integration import (
     transform_integrand,
 )
 from .processes import (
-    TemperedParams, kernel_g1, kernel_g2, kernel_g2_dual, noise_path,
+    TemperedParams, kernel_g1, kernel_g2, noise_path,
     simulate_ensemble, simulate_smooth_regime, simulate_tflp1,
     simulate_tflp2, total_variation, truncation_width,
 )

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .processes import TemperedParams, kernel_g1, kernel_g2
 from .special import bessel_k, bessel_k_scaled, gamma_fn
@@ -148,6 +147,7 @@ def cov_tflp2(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> f
     m(r) = max(0, min(t, s+r) - max(0, r)); the integrable |r|^{2d-1}
     diagonal singularity sits at r = 0 and is split out for quadrature.
     """
+    from scipy import integrate as _integrate
     d, lam = params.d, params.lam
     if not d > 0:
         raise ValueError("cov_tflp2: closed form requires d > 0")
@@ -228,6 +228,7 @@ def _acvf_tfln2_bessel(params: TemperedParams, h: float) -> float:
     gamma2(h) = K int_{-1}^{1} (1-|r|) |h+r|^{d-1/2} K_{d-1/2}(lam|h+r|) dr.
     The exponential decay is factored out so large lags keep full
     relative accuracy."""
+    from scipy import integrate as _integrate
     d, lam = params.d, params.lam
     K = 1.0 / (_SQRT_PI * gamma_fn(d) * (2.0 * lam) ** (d - 0.5))
     h = abs(float(h))
@@ -258,6 +259,7 @@ def _acvf_tfln2_fourier(params: TemperedParams, h: float) -> float:
     """Type II noise acvf by numerical inversion of the spectral display,
     gamma2(h) = 2 int_R e^{i omega h} h2(omega) d omega; valid for all
     d > -1/2 but limited to absolute quadrature accuracy at large lags."""
+    from scipy import integrate as _integrate
     h = abs(float(h))
     cutoff = 500.0
 

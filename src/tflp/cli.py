@@ -118,7 +118,7 @@ _FIELDS = {
     "scale": (float, 1.0), "sigma": (float, 1.0),
     "range": (str, None), "out": (str, None), "input": (str, None),
     "max_lag": (int, 50), "segment_length": (int, 1024),
-    "taus": (str, "1,2,4,8,16"), "budget": (str, "quick"),
+    "taus": (str, "1,2,4,8,16"),
     "n_draws": (int, 2000), "unit_lag": (float, 1.0),
 }
 
@@ -382,9 +382,9 @@ _COMMAND_KEYS = {
                  "sigma", "out"],
     "analytic": ["curve", "d", "lam", "el2", "range", "out"],
     "estimate": ["task", "input", "max_lag", "segment_length", "taus", "out"],
-    "verify": ["suite", "budget", "seed", "n_draws", "driver", "jumps",
-               "intensity", "a", "jump_sigma", "c", "alpha", "lambda_noise",
-               "scale", "sigma", "out"],
+    "verify": ["suite", "seed", "n_draws", "driver", "jumps", "intensity",
+               "a", "jump_sigma", "c", "alpha", "lambda_noise", "scale",
+               "sigma", "out"],
 }
 
 _RUNNERS = {

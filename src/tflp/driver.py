@@ -29,7 +29,7 @@ from .incgamma import upper_gamma as _upper_gamma
 __all__ = [
     "JumpLaw", "UniformSymmetric", "GaussianJumps", "TwoPoint",
     "LevyDriverSpec", "CompoundPoisson", "TemperedStable", "GaussianValidation",
-    "second_moment", "char_exponent", "sample_increments", "increments_matrix",
+    "second_moment", "char_exponent", "sample_increments",
     "spec_to_config", "spec_from_config",
 ]
 
@@ -294,11 +294,6 @@ def sample_increments(spec, grid: SampleGrid, seed: int, stream: int = 0) -> np.
     if isinstance(spec, GaussianValidation):
         return rng.normal(0.0, spec.sigma * np.sqrt(dt), size=n)
     raise TypeError(f"no sampler for driver spec {spec!r}")
-
-
-def increments_matrix(spec, grid: SampleGrid, seed: int, n_paths: int) -> np.ndarray:
-    """Increment arrays for n_paths independent paths, shape (n_paths, n_cells)."""
-    return np.stack([sample_increments(spec, grid, seed, p) for p in range(n_paths)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ SamplePath a realized process path, with its generating metadata.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,20 +68,6 @@ class GridFunction:
         """Trapezoidal L2(R) norm of the sampled function."""
         return float(np.sqrt(np.trapezoid(self.values ** 2, dx=self.grid.dx)))
 
-    def to_csv(self, path):
-        x = self.grid.points
-        with open(path, "w") as fh:
-            fh.write("x,value\n")
-            for xi, vi in zip(x, self.values):
-                fh.write(f"{xi:.17g},{vi:.17g}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        x, v = data[:, 0], data[:, 1]
-        grid = SampleGrid(float(x[0]), float(x[-1]), len(x) - 1)
-        return cls(grid, v)
-
 
 @dataclass
 class SamplePath:
@@ -110,14 +95,3 @@ class SamplePath:
     @property
     def times(self) -> np.ndarray:
         return self.grid.points
-
-    def to_csv(self, path, manifest_path=None):
-        with open(path, "w") as fh:
-            fh.write("t,value\n")
-            for ti, vi in zip(self.times, self.values):
-                fh.write(f"{ti:.17g},{vi:.17g}\n")
-        if manifest_path is not None:
-            with open(manifest_path, "w") as fh:
-                json.dump({"kind": self.kind, **self.meta}, fh,
-                          sort_keys=True, indent=2, default=str)
-                fh.write("\n")

@@ -3,18 +3,12 @@
 Conventions: lower_gamma(s, x) = int_0^x u^{s-1} e^{-u} du (s > 0),
 upper_gamma(s, x) = int_x^inf u^{s-1} e^{-u} du, extended to negative
 non-integer s by the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s.
-reg_lower is the regularized P(s, x) = lower_gamma / Gamma(s).
 """
 
 import numpy as np
 from scipy import special as _sp
 
-__all__ = ["lower_gamma", "upper_gamma", "reg_lower"]
-
-
-def reg_lower(s, x):
-    """Regularized lower incomplete gamma P(s, x), s > 0, x >= 0."""
-    return _sp.gammainc(s, x)
+__all__ = ["lower_gamma", "upper_gamma"]
 
 
 def lower_gamma(s, x):

@@ -15,9 +15,10 @@ them to 1_{[0,t]} reproduces g1(t, .)/Gamma(1+d) exactly, mirroring
 I^{d,lam}_- 1_{[0,t]} = g2(t, .)/Gamma(1+d) for the type II process.
 (The isometry then reads Var[int f dS] = E[L(1)^2] ||F||^2 in L2.)
 
-Elementary (step) integrands are transformed per piece in closed form
-with incomplete gamma functions; general grid functions go through the
-tempered_calculus operators.  Norms and inner products use the same
+This display is the term table returned by _classify, which both
+routes sum: elementary (step) integrands per piece in closed form with
+incomplete gamma functions, general grid functions with the tempered
+calculus operators.  Norms and inner products use the same
 left-point Riemann quadrature as the Monte Carlo realization, so the
 predicted variance matches the law of the simulated sums exactly.
 """
@@ -30,6 +31,7 @@ import numpy as np
 
 from .calculus import frac_derivative_minus, frac_integral_minus
 from .driver import LevyDriverSpec, sample_increments, second_moment
+from .errors import ToleranceError
 from .grids import GridFunction, SampleGrid, SamplePath
 from .incgamma import lower_gamma, upper_gamma
 from .processes import TemperedParams, truncation_width
@@ -91,19 +93,21 @@ class IntegrandTransform:
     norm: float
 
 
-def _classify(params: TemperedParams, target: str) -> str:
-    d = params.d
+def _classify(params: TemperedParams, target: str):
+    """Regime tag and the terms (coefficient, operator, order) whose sum
+    is F: operator "I" is I^{order,lam}_- and "D" is D^{order,lam}_-."""
+    d, lam = params.d, params.lam
     if target == "TFLP2":
         if d > 0:
-            return "A1"
+            return "A1", ((1.0, "I", d),)
         if -0.5 < d < 0:
-            return "A2"
+            return "A2", ((1.0, "D", -d),)
         raise ValueError("transform_integrand: type II requires d > 0 or -1/2 < d < 0")
     if target == "TFLP1":
         if -0.5 < d < 0:
-            return "A3"
+            return "A3", ((1.0, "D", -d), (-lam, "I", d + 1.0))
         if 0 < d < 0.5:
-            return "A4"
+            return "A4", ((1.0, "I", d), (-lam, "I", d + 1.0))
         raise ValueError("transform_integrand: type I requires 0 < |d| < 1/2")
     raise ValueError("transform_integrand: target must be TFLP1 or TFLP2")
 
@@ -153,41 +157,6 @@ def _default_grid(f: ElementaryFunction, params: TemperedParams,
     return SampleGrid(hi - n * dx, hi, n)
 
 
-def _transform_elementary(f, params, regime, grid):
-    d, lam = params.d, params.lam
-    y = grid.points
-    F = np.zeros_like(y)
-    for a, b, c in zip(f.breakpoints, f.breakpoints[1:], f.coefficients):
-        if regime == "A1":
-            piece = _int_indicator(d, lam, a, b, y)
-        elif regime == "A2":
-            piece = _deriv_indicator(-d, lam, a, b, y)
-        elif regime == "A3":
-            piece = _deriv_indicator(-d, lam, a, b, y) \
-                - lam * _int_indicator(d + 1.0, lam, a, b, y)
-        else:  # A4
-            piece = _int_indicator(d, lam, a, b, y) \
-                - lam * _int_indicator(d + 1.0, lam, a, b, y)
-        F += c * piece
-    return GridFunction(grid, F)
-
-
-def _transform_grid_function(f, params, regime):
-    d, lam = params.d, params.lam
-    if regime == "A1":
-        g = frac_integral_minus(f, d, lam)
-    elif regime == "A2":
-        g = frac_derivative_minus(f, -d, lam)
-    elif regime == "A3":
-        g = frac_derivative_minus(f, -d, lam)
-        g = GridFunction(f.grid, g.values
-                         - lam * frac_integral_minus(f, d + 1.0, lam).values)
-    else:  # A4
-        g = GridFunction(f.grid, frac_integral_minus(f, d, lam).values
-                         - lam * frac_integral_minus(f, d + 1.0, lam).values)
-    return g
-
-
 def transform_integrand(f, params: TemperedParams, target: str = "TFLP2",
                         grid: SampleGrid | None = None,
                         dx: float = 2.0 ** -8) -> IntegrandTransform:
@@ -198,16 +167,23 @@ def transform_integrand(f, params: TemperedParams, target: str = "TFLP2",
     own grid).  For elementary f, grid defaults to [min break - R, max
     break] at spacing dx, with R the tempering truncation width.
     """
-    regime = _classify(params, target)
+    regime, terms = _classify(params, target)
+    lam = params.lam
     if isinstance(f, ElementaryFunction):
         if grid is None:
             grid = _default_grid(f, params, dx)
-        F = _transform_elementary(f, params, regime, grid)
+        y = grid.points
+        ops = {"I": _int_indicator, "D": _deriv_indicator}
+        F = np.zeros_like(y)
+        for a, b, c in zip(f.breakpoints, f.breakpoints[1:], f.coefficients):
+            F += c * sum(k * ops[op](order, lam, a, b, y) for k, op, order in terms)
     elif isinstance(f, GridFunction):
-        F = _transform_grid_function(f, params, regime)
+        grid = f.grid
+        ops = {"I": frac_integral_minus, "D": frac_derivative_minus}
+        F = sum(k * ops[op](f, order, lam).values for k, op, order in terms)
     else:
         raise TypeError("transform_integrand: f must be ElementaryFunction or GridFunction")
-    return IntegrandTransform(regime, F, _discrete_norm(F.values, F.grid.dx))
+    return IntegrandTransform(regime, GridFunction(grid, F), _discrete_norm(F, grid.dx))
 
 
 def inner_product(f: IntegrandTransform, g: IntegrandTransform) -> float:
@@ -257,8 +233,8 @@ def approximate_by_elementary(f: GridFunction, params: TemperedParams,
     """Step approximation of f with transform-space distance below tol.
 
     Dyadically refines a partition of f's grid, averaging f per piece,
-    until ||transform(f) - transform(f_n)|| < tol; raises after
-    max_levels refinements without convergence.
+    until ||transform(f) - transform(f_n)|| < tol; raises ToleranceError
+    after max_levels refinements without convergence.
     """
     grid = f.grid
     tr_f = transform_integrand(f, params, target)
@@ -281,5 +257,5 @@ def approximate_by_elementary(f: GridFunction, params: TemperedParams,
         dist = _discrete_norm(diff, grid.dx)
         if dist < tol:
             return fn
-    raise RuntimeError(
+    raise ToleranceError(
         f"approximate_by_elementary: tol {tol} not reached in {max_levels} levels")

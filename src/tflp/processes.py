@@ -40,12 +40,13 @@ from .calculus import fft_convolver
 from .driver import LevyDriverSpec, sample_increments
 from .errors import ToleranceError
 from .grids import SampleGrid, SamplePath
-from .incgamma import lower_gamma, upper_gamma
+# upper_gamma is unused here but kept: perfbench/tracing.py wraps it at this module
+from .incgamma import lower_gamma, upper_gamma  # noqa: F401
 from .special import gamma_fn
 
 __all__ = [
     "TemperedParams",
-    "kernel_g1", "kernel_g2", "kernel_g2_dual",
+    "kernel_g1", "kernel_g2",
     "simulate_tflp1", "simulate_tflp2", "simulate_smooth_regime",
     "simulate_ensemble", "noise_path",
     "truncation_width", "total_variation",
@@ -107,33 +108,6 @@ def kernel_g2(params: TemperedParams, t, y):
         return _w(u, d, lam) + lam * _w_antideriv(u, d, lam)
 
     out = G2(float(t) - y) - G2(-y)
-    return float(out) if out.ndim == 0 else out
-
-
-def kernel_g2_dual(params: TemperedParams, t, y):
-    """Type II kernel in its other displayed form
-    d int_0^t (s-y)_+^{d-1} e^{-lam (s-y)_+} ds, for cross-checks.
-
-    Integrating d u^{d-1} e^{-lam u} = (w + lam W)' gives
-    G2(t-y) - G2(-y) again; here the form is evaluated from the
-    incomplete gamma of order d directly so the two routes share no code.
-    """
-    d, lam = params.d, params.lam
-    if d == 0.0:
-        raise ValueError("kernel_g2_dual: d = 0 is not admitted for the type II kernel")
-    y = np.asarray(y, dtype=float)
-    # int_a^b d u^{d-1} e^{-lam u} du over u = s - y, s in (0, t), u > 0
-    lo = lam * np.maximum(-y, 0.0)
-    hi = lam * np.maximum(float(t) - y, 0.0)
-    if d > 0:
-        out = d * lam ** (-d) * (lower_gamma(d, hi) - lower_gamma(d, lo))
-    else:
-        # gamma_lower(d, .) differences via the upper function, which
-        # extends to negative non-integer order; for d < 0 the form is an
-        # improper integral and requires y < 0 or y > t (lo, hi > 0)
-        if np.any((lo <= 0) | (hi <= 0)):
-            raise ValueError("kernel_g2_dual: d < 0 requires y outside [0, t]")
-        out = d * lam ** (-d) * (upper_gamma(d, lo) - upper_gamma(d, hi))
     return float(out) if out.ndim == 0 else out
 
 

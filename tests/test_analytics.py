@@ -1,9 +1,14 @@
 """Second order theory: covariances, spectra, asymptotics, estimators."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import tflp
 from tflp.processes import TemperedParams, kernel_g1, kernel_g2
 from tflp.special import gamma_fn
 from tflp.analytics import (
@@ -201,3 +206,14 @@ def test_structure_function_deterministic_path():
         structure_function(g[None, :], 0.01, [0])
     with pytest.raises(ValueError):
         structure_exponent(np.zeros((2, 50)), 0.01, [1, 2])
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only the quadrature routes need scipy.integrate; they import it
+    # on first call, which keeps it off the cold start of every command
+    src = os.path.dirname(os.path.dirname(tflp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, tflp; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -120,12 +120,42 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert out2.read_text() == out3.read_text()
 
 
+def test_estimate_holder_json(tmp_path):
+    ens = tmp_path / "ens.csv"
+    out = tmp_path / "holder.json"
+    assert run(["simulate", "tflp1", "--d", "0.3", "--lambda", "0.5", "--tmax", "4",
+                "--n", "64", "--ensemble", "20", "--seed", "2", "--out", ens]) == 0
+    assert run(["estimate", "holder", "--input", ens, "--taus", "1,2,4",
+                "--out", out]) == 0
+    payload = json.loads(out.read_text())
+    assert np.isfinite(payload["slope"]) and np.isfinite(payload["zeta"])
+    manifest = json.loads((tmp_path / "holder.json.manifest.json").read_text())
+    assert manifest["command"] == "estimate"
+    assert manifest["config"]["task"] == "holder"
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "p.csv"
     manifest = tmp_path / "p.csv.manifest.json"
     assert run(["simulate", "tflp2", "--d", "0.25", "--lambda", "0.8",
                 "--tmax", "1", "--n", "8", "--seed", "6", "--out", out]) == 0
     first = out.read_bytes()
+    out.unlink()
+    assert run(["rerun", manifest]) == 0
+    assert out.read_bytes() == first
+
+
+def test_rerun_ignores_retired_verify_budget_key(tmp_path):
+    # verify manifests once carried an unused "budget" key; runners read
+    # only the keys they know, so such manifests still rerun
+    out = tmp_path / "v.csv"
+    manifest = tmp_path / "v.csv.manifest.json"
+    assert run(["verify", "calculus", "--out", out]) == 0
+    first = out.read_bytes()
+    payload = json.loads(manifest.read_text())
+    assert "budget" not in payload["config"]
+    payload["config"]["budget"] = "quick"
+    manifest.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     out.unlink()
     assert run(["rerun", manifest]) == 0
     assert out.read_bytes() == first

@@ -5,8 +5,8 @@ import pytest
 
 from tflp.driver import (
     CompoundPoisson, GaussianJumps, GaussianValidation, TemperedStable,
-    TwoPoint, UniformSymmetric, char_exponent, increments_matrix,
-    sample_increments, second_moment, spec_from_config, spec_to_config,
+    TwoPoint, UniformSymmetric, char_exponent, sample_increments,
+    second_moment, spec_from_config, spec_to_config,
 )
 from tflp.grids import SampleGrid
 
@@ -69,16 +69,6 @@ def test_determinism_and_stream_independence():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-
-
-def test_increments_matrix_rows_match_streams():
-    grid = SampleGrid(0.0, 5.0, 50)
-    spec = CompoundPoisson(intensity=1.0, jump_law=TwoPoint(c=1.0))
-    M = increments_matrix(spec, grid, seed=11, n_paths=4)
-    assert M.shape == (4, 50)
-    for p in range(4):
-        np.testing.assert_array_equal(
-            M[p], sample_increments(spec, grid, seed=11, stream=p))
 
 
 def test_config_roundtrip():

@@ -50,16 +50,6 @@ def test_l2_norm_of_gaussian():
     assert abs(f.l2_norm() - (np.pi / 2.0) ** 0.25) < 1e-8
 
 
-def test_grid_function_csv_roundtrip(tmp_path):
-    g = SampleGrid(-2.0, 2.0, 16)
-    f = GridFunction.from_callable(g, np.sin)
-    p = tmp_path / "f.csv"
-    f.to_csv(p)
-    f2 = GridFunction.from_csv(p)
-    assert f2.grid == f.grid
-    np.testing.assert_array_equal(f2.values, f.values)
-
-
 def test_sample_path_zero_start_enforced():
     g = SampleGrid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
@@ -67,15 +57,3 @@ def test_sample_path_zero_start_enforced():
     # noise paths are stationary, no such constraint
     SamplePath(g, np.ones(5), kind="TFLN1")
 
-
-def test_sample_path_csv_and_manifest(tmp_path):
-    g = SampleGrid(0.0, 1.0, 2)
-    path = SamplePath(g, np.array([0.0, 0.5, -0.25]), kind="TFLP2",
-                      meta={"seed": 3})
-    out = tmp_path / "p.csv"
-    man = tmp_path / "p.manifest.json"
-    path.to_csv(out, manifest_path=man)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,value"
-    assert len(lines) == 4
-    assert '"seed": 3' in man.read_text()

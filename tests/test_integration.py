@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from tflp.calculus import frac_derivative_minus, frac_integral_minus
 from tflp.driver import CompoundPoisson, GaussianJumps, sample_increments, second_moment
+from tflp.errors import ToleranceError
 from tflp.grids import GridFunction, SampleGrid
 from tflp.integration import (
-    ElementaryFunction, approximate_by_elementary, inner_product,
-    integrate_elementary, integrate_general, transform_integrand,
+    ElementaryFunction, _deriv_indicator, _int_indicator,
+    approximate_by_elementary, inner_product, integrate_elementary,
+    integrate_general, transform_integrand,
 )
 from tflp.processes import (
     TemperedParams, kernel_g1, kernel_g2, simulate_tflp2, truncation_width,
@@ -65,6 +68,45 @@ def test_indicator_transform_reproduces_kernels():
         y = tr.transformed.grid.points
         ref = kernel(p, t, y) / gamma_fn(1.0 + d)
         assert np.max(np.abs(tr.transformed.values - ref)) < 1e-3, (target, d)
+
+
+def test_transform_terms_bit_identical_to_reference():
+    # each regime's formula written out per route, with the subtraction
+    # order of the displays; the term table must reproduce it bit for bit
+    lam = 1.3
+    grid = SampleGrid(-20.0, 2.0, 2 ** 10)
+    y = grid.points
+    step = ElementaryFunction((-0.5, 0.3, 1.1, 1.75), (1.0, -2.5, 0.75))
+    gauss = GridFunction.from_callable(grid, lambda x: np.exp(-(x - 0.5) ** 2))
+    I, D = frac_integral_minus, frac_derivative_minus
+    for target, d, regime in (("TFLP2", 0.3, "A1"), ("TFLP2", -0.3, "A2"),
+                              ("TFLP1", -0.3, "A3"), ("TFLP1", 0.3, "A4")):
+        if regime == "A1":
+            piece = lambda a, b: _int_indicator(d, lam, a, b, y)
+            ref_grid = I(gauss, d, lam).values
+        elif regime == "A2":
+            piece = lambda a, b: _deriv_indicator(-d, lam, a, b, y)
+            ref_grid = D(gauss, -d, lam).values
+        elif regime == "A3":
+            piece = lambda a, b: (_deriv_indicator(-d, lam, a, b, y)
+                                  - lam * _int_indicator(d + 1.0, lam, a, b, y))
+            ref_grid = (D(gauss, -d, lam).values
+                        - lam * I(gauss, d + 1.0, lam).values)
+        else:
+            piece = lambda a, b: (_int_indicator(d, lam, a, b, y)
+                                  - lam * _int_indicator(d + 1.0, lam, a, b, y))
+            ref_grid = (I(gauss, d, lam).values
+                        - lam * I(gauss, d + 1.0, lam).values)
+        ref_step = np.zeros_like(y)
+        for a, b, c in zip(step.breakpoints, step.breakpoints[1:], step.coefficients):
+            ref_step += c * piece(a, b)
+        p = TemperedParams(d, lam)
+        for f, ref in ((step, ref_step), (gauss, ref_grid)):
+            tr = transform_integrand(f, p, target, grid=grid)
+            assert tr.regime == regime
+            assert tr.transformed.grid == grid
+            np.testing.assert_array_equal(tr.transformed.values, ref)
+            assert tr.norm == float(np.sqrt(np.sum(ref[:-1] ** 2) * grid.dx))
 
 
 def test_closed_form_matches_grid_operator_route():
@@ -163,5 +205,5 @@ def test_approximate_by_elementary_converges():
     gap = np.sqrt(np.sum((tr_f.transformed.values
                           - tr_n.transformed.values) ** 2) * g.dx)
     assert gap < 1e-2
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ToleranceError):
         approximate_by_elementary(f, p, tol=1e-12, max_levels=3)

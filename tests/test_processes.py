@@ -10,14 +10,41 @@ from tflp.driver import (CompoundPoisson, TwoPoint, UniformSymmetric,
                          sample_increments, second_moment)
 from tflp.errors import ToleranceError
 from tflp.grids import SampleGrid
+from tflp.incgamma import lower_gamma, upper_gamma
 from tflp.processes import (
     TemperedParams, _cell_averages, _w, _w_antideriv, kernel_g1, kernel_g2,
-    kernel_g2_dual, noise_path, simulate_ensemble, simulate_smooth_regime,
-    simulate_tflp1, simulate_tflp2, total_variation, truncation_width,
+    noise_path, simulate_ensemble, simulate_smooth_regime, simulate_tflp1,
+    simulate_tflp2, total_variation, truncation_width,
 )
 from tflp.special import gamma_fn
 
 CP = CompoundPoisson(intensity=2.0, jump_law=UniformSymmetric(a=1.0))
+
+
+def kernel_g2_dual(params, t, y):
+    """Oracle: the type II kernel in its other displayed form
+    d int_0^t (s-y)_+^{d-1} e^{-lam (s-y)_+} ds.
+
+    Integrating d u^{d-1} e^{-lam u} = (w + lam W)' gives
+    G2(t-y) - G2(-y) again; here the form is evaluated from the
+    incomplete gamma of order d directly so it shares no code with
+    kernel_g2.
+    """
+    d, lam = params.d, params.lam
+    if d == 0.0:
+        raise ValueError("kernel_g2_dual: d = 0 is not admitted for the type II kernel")
+    y = np.asarray(y, dtype=float)
+    # int_a^b d u^{d-1} e^{-lam u} du over u = s - y, s in (0, t), u > 0
+    lo = lam * np.maximum(-y, 0.0)
+    hi = lam * np.maximum(float(t) - y, 0.0)
+    if d > 0:
+        return d * lam ** (-d) * (lower_gamma(d, hi) - lower_gamma(d, lo))
+    # gamma_lower(d, .) differences via the upper function, which extends
+    # to negative non-integer order; for d < 0 the form is an improper
+    # integral and requires y < 0 or y > t (lo, hi > 0)
+    if np.any((lo <= 0) | (hi <= 0)):
+        raise ValueError("kernel_g2_dual: d < 0 requires y outside [0, t]")
+    return d * lam ** (-d) * (upper_gamma(d, lo) - upper_gamma(d, hi))
 
 
 def test_params_domain():
