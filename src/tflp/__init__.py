@@ -9,14 +9,13 @@ from .analytics import (
     var_limit_tflp1,
 )
 from .calculus import (
-    GridTooNarrowError, fourier_multiplier, frac_derivative_minus,
-    frac_derivative_plus, frac_integral_minus, frac_integral_plus,
-    sobolev_norm,
+    fourier_multiplier, frac_derivative_minus, frac_derivative_plus,
+    frac_integral_minus, frac_integral_plus, sobolev_norm,
 )
 from .driver import (
     CompoundPoisson, GaussianJumps, GaussianValidation, LevyDriverSpec,
     TemperedStable, TwoPoint, UniformSymmetric, char_exponent,
-    sample_increments, second_moment, spec_from_config, spec_to_config,
+    sample_increments, second_moment, spec_from_config,
 )
 from .errors import ParameterError, ToleranceError
 from .grids import GridFunction, SampleGrid, SamplePath
@@ -30,6 +29,6 @@ from .processes import (
     simulate_ensemble, simulate_smooth_regime, simulate_tflp1,
     simulate_tflp2, total_variation, truncation_width,
 )
-from .special import PoleError, bessel_k, bessel_k_scaled, gamma_fn
+from .special import bessel_k, bessel_k_scaled, gamma_fn
 
 __version__ = "0.1.0"

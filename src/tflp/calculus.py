@@ -30,25 +30,21 @@ import numpy as np
 from scipy import special as _sp
 from scipy.fft import irfft, next_fast_len, rfft
 
+from .errors import ToleranceError
 from .grids import GridFunction
 from .incgamma import lower_gamma, upper_gamma
 
 __all__ = [
-    "GridTooNarrowError",
     "frac_integral_minus", "frac_integral_plus",
     "frac_derivative_minus", "frac_derivative_plus",
     "fourier_multiplier", "sobolev_norm",
 ]
 
 
-class GridTooNarrowError(ValueError):
-    """Domain truncation error bound exceeds the requested tolerance."""
-
-
 def _check_width(f, lam, tol):
     width = f.grid.x_max - f.grid.x_min
     if np.exp(-lam * 0.5 * width) > tol:
-        raise GridTooNarrowError(
+        raise ToleranceError(
             f"grid half-width {0.5 * width:.3g} too small for lambda={lam}: "
             f"exp(-lambda*w/2)={np.exp(-lam * 0.5 * width):.3g} > tol={tol}")
 

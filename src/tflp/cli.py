@@ -14,8 +14,9 @@ Config precedence: flags > config file (--config, flat key=value with
 '#' comments, keys match the long flag names with '-' -> '_') >
 defaults.
 
-Exit codes: 0 success, 1 verification failure, 2 parameter error,
-3 numeric tolerance failure.
+Exit codes: 0 success, 1 verification failure, 2 parameter or I/O
+error (ValueError, OSError), 3 numeric tolerance, budget or overflow
+failure (ToleranceError, ArithmeticError); see tflp.errors.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import sys
 
 import numpy as np
 
-from . import analytics, integration
-from .calculus import (GridTooNarrowError, fourier_multiplier,
-                       frac_derivative_minus, frac_integral_minus)
+from . import analytics, processes
+from .calculus import (fourier_multiplier, frac_derivative_minus,
+                       frac_integral_minus)
 from .driver import sample_increments, second_moment, spec_from_config
 from .errors import ParameterError, ToleranceError
 from .grids import GridFunction, SampleGrid
@@ -60,15 +61,10 @@ def write_csv(path, names, units, rows):
 
 def read_csv(path):
     """Read a two-line-header CSV; returns (names, array). Raises
-    ParameterError with a line number on malformed rows."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParameterError(f"{path}: {exc.strerror}") from exc
-    if len(lines) < 3:
-        raise ParameterError(f"{path}: expected two header lines plus data")
-    names = lines[0].split(",")
+    ParameterError with a line number on malformed rows, and when there
+    are fewer than two columns or two data rows."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     data = []
     for i, line in enumerate(lines[2:], start=3):
         if not line.strip():
@@ -77,7 +73,11 @@ def read_csv(path):
             data.append([float(v) for v in line.split(",")])
         except ValueError as exc:
             raise ParameterError(f"{path}:{i}: {exc}") from exc
-    return names, np.asarray(data)
+    data = np.asarray(data)
+    if data.ndim != 2 or min(data.shape) < 2:
+        raise ParameterError(f"{path}: expected two header lines, then at "
+                             "least two data rows of at least two columns")
+    return lines[0].split(","), data
 
 
 def write_manifest(out_path, command, config):
@@ -138,10 +138,12 @@ def _resolve(args, keys):
     return cfg
 
 
+_DRIVER_KEYS = ("driver", "jumps", "intensity", "a", "jump_sigma", "c", "alpha",
+                "lambda_noise", "scale", "sigma")
+
+
 def _driver_from_cfg(cfg):
-    keys = ("driver", "jumps", "intensity", "a", "jump_sigma", "c", "alpha",
-            "lambda_noise", "scale", "sigma")
-    return spec_from_config({k: cfg[k] for k in keys if cfg.get(k) is not None})
+    return spec_from_config({k: cfg[k] for k in _DRIVER_KEYS if cfg[k] is not None})
 
 
 def _parse_range(spec):
@@ -152,6 +154,9 @@ def _parse_range(spec):
     if step <= 0 or stop <= start:
         raise ParameterError(f"empty range {spec!r}")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
+    if n > processes._MAX_CELLS:
+        raise ToleranceError(f"range {spec!r} has {n} points, over the budget "
+                             f"of {processes._MAX_CELLS}")
     return start + step * np.arange(n)
 
 
@@ -160,8 +165,6 @@ def _parse_range(spec):
 def run_simulate(cfg):
     if cfg["kind"] not in ("tflp1", "tflp2", "tfln1", "tfln2"):
         raise ParameterError(f"unknown kind {cfg['kind']!r}")
-    if cfg["out"] is None:
-        raise ParameterError("simulate: --out is required")
     if cfg["ensemble"] < 1:
         raise ParameterError("simulate: --ensemble must be >= 1")
     grid = SampleGrid(0.0, cfg["tmax"], cfg["n"])
@@ -180,8 +183,6 @@ def run_simulate(cfg):
 
 def run_analytic(cfg):
     curve = cfg["curve"]
-    if cfg["out"] is None:
-        raise ParameterError("analytic: --out is required")
     params = TemperedParams(cfg["d"], cfg["lam"])
     el2 = cfg["el2"]
     if curve == "varlimit":
@@ -223,8 +224,6 @@ def run_analytic(cfg):
 
 def run_estimate(cfg):
     task = cfg["task"]
-    if cfg["out"] is None or cfg["input"] is None:
-        raise ParameterError("estimate: --input and --out are required")
     names, data = read_csv(cfg["input"])
     if task == "acvf":
         series = data[:, 1]
@@ -335,9 +334,12 @@ def _verify_isometry(cfg, table):
 def _verify_spectra(cfg, table):
     from scipy import integrate as _si
     p = TemperedParams(0.2, 0.3)
-    val, _ = _si.quad(lambda w: analytics.spec_density_tfln1(p, w),
-                      -np.inf, np.inf, limit=400)
-    _check(table, "2*int h1 = gamma1(0)", 2 * val,
+    # h1 = g (1 - cos w) is even, so 2 int_R h1 = 4 (int_0^inf g - int_0^inf
+    # g cos w); the oscillatory part goes to quad's Fourier-integral route
+    g = lambda w: 1.0 / (2.0 * np.pi * (p.lam ** 2 + w ** 2) ** (p.d + 1.0))
+    flat, _ = _si.quad(g, 0.0, np.inf)
+    osc, _ = _si.quad(g, 0.0, np.inf, weight="cos", wvar=1.0)
+    _check(table, "2*int h1 = gamma1(0)", 4.0 * (flat - osc),
            analytics.acvf_tfln1(p, 0.0), 1e-5)
     p2 = TemperedParams(0.4, 0.5)
     for h in (1.5, 5.0):
@@ -377,20 +379,26 @@ def run_verify(cfg):
 
 _COMMAND_KEYS = {
     "simulate": ["kind", "d", "lam", "tmax", "n", "refine", "trunc_width",
-                 "ensemble", "seed", "unit_lag", "driver", "jumps", "intensity",
-                 "a", "jump_sigma", "c", "alpha", "lambda_noise", "scale",
-                 "sigma", "out"],
+                 "ensemble", "seed", "unit_lag", *_DRIVER_KEYS, "out"],
     "analytic": ["curve", "d", "lam", "el2", "range", "out"],
     "estimate": ["task", "input", "max_lag", "segment_length", "taus", "out"],
-    "verify": ["suite", "seed", "n_draws", "driver", "jumps", "intensity",
-               "a", "jump_sigma", "c", "alpha", "lambda_noise", "scale",
-               "sigma", "out"],
+    "verify": ["suite", "seed", "n_draws", *_DRIVER_KEYS, "out"],
+}
+
+# keys without a default that a command cannot run without
+_REQUIRED = {
+    "simulate": ("d", "lam", "out"), "analytic": ("d", "lam", "out"),
+    "estimate": ("input", "out"), "verify": (),
 }
 
 _RUNNERS = {
     "simulate": run_simulate, "analytic": run_analytic,
     "estimate": run_estimate,
 }
+
+
+def _flag(key):
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 
 
 def build_parser():
@@ -407,12 +415,7 @@ def build_parser():
         for key in _COMMAND_KEYS[cmd]:
             if key == positional:
                 continue
-            typ, _ = _FIELDS[key]
-            flag = "--" + key.replace("_", "-")
-            if key == "lam":
-                p.add_argument("--lambda", dest="lam", type=typ, default=None)
-            else:
-                p.add_argument(flag, dest=key, type=typ, default=None)
+            p.add_argument(_flag(key), dest=key, type=_FIELDS[key][0], default=None)
         return p
 
     add("simulate", "kind")
@@ -425,6 +428,16 @@ def build_parser():
 
 
 def _dispatch(command, cfg):
+    """Validate a configuration, fresh or from a manifest, and run it.
+    Extra keys (the retired "budget") are kept so reruns stay byte-identical."""
+    if not (isinstance(command, str) and command in _COMMAND_KEYS):
+        raise ParameterError(f"unknown command {command!r}")
+    if not (isinstance(cfg, dict) and cfg.keys() >= set(_COMMAND_KEYS[command])):
+        raise ParameterError(f"{command}: config must be an object holding "
+                             f"the keys {', '.join(_COMMAND_KEYS[command])}")
+    missing = [_flag(k) for k in _REQUIRED[command] if cfg[k] is None]
+    if missing:
+        raise ParameterError(f"{command}: {', '.join(missing)} required")
     if command == "verify":
         return EXIT_OK if run_verify(cfg) else EXIT_VERIFY
     _RUNNERS[command](cfg)
@@ -437,16 +450,15 @@ def main(argv=None) -> int:
         if args.command == "rerun":
             with open(args.manifest) as fh:
                 manifest = json.load(fh)
-            command = manifest["command"]
-            if command not in _COMMAND_KEYS:
-                raise ParameterError(f"manifest command {command!r} unknown")
-            return _dispatch(command, manifest["config"])
+            if not isinstance(manifest, dict):
+                raise ParameterError(f"{args.manifest}: manifest must be a JSON object")
+            return _dispatch(manifest.get("command"), manifest.get("config"))
         cfg = _resolve(args, _COMMAND_KEYS[args.command])
         return _dispatch(args.command, cfg)
-    except (ToleranceError, GridTooNarrowError) as exc:
+    except (ToleranceError, ArithmeticError) as exc:
         print(f"tolerance error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (ParameterError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
 

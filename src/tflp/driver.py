@@ -29,8 +29,7 @@ from .incgamma import upper_gamma as _upper_gamma
 __all__ = [
     "JumpLaw", "UniformSymmetric", "GaussianJumps", "TwoPoint",
     "LevyDriverSpec", "CompoundPoisson", "TemperedStable", "GaussianValidation",
-    "second_moment", "char_exponent", "sample_increments",
-    "spec_to_config", "spec_from_config",
+    "second_moment", "char_exponent", "sample_increments", "spec_from_config",
 ]
 
 
@@ -134,7 +133,6 @@ class TemperedStable(LevyDriverSpec):
     alpha: float
     lambda_noise: float
     scale: float = 1.0
-    symmetric: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
@@ -143,8 +141,6 @@ class TemperedStable(LevyDriverSpec):
             raise ValueError("TemperedStable: requires lambda_noise > 0")
         if self.scale <= 0:
             raise ValueError("TemperedStable: requires scale > 0")
-        if not self.symmetric:
-            raise NotImplementedError("TemperedStable: only the symmetric driver is provided")
 
 
 @dataclass(frozen=True)
@@ -186,9 +182,12 @@ def char_exponent(spec, theta):
     if isinstance(spec, TemperedStable):
         a, lam, c = spec.alpha, spec.lambda_noise, spec.scale
         if a == 1.0:
-            raise NotImplementedError("char_exponent: alpha = 1 closed form not provided")
-        z = (lam + 1j * theta) ** a
-        psi = c * _sp.gamma(-a) * (2.0 * z.real - 2.0 * lam ** a)
+            # alpha -> 1 limit of the general form below
+            psi = 2.0 * c * (0.5 * lam * np.log1p((theta / lam) ** 2)
+                             - theta * np.arctan(theta / lam))
+        else:
+            z = (lam + 1j * theta) ** a
+            psi = c * _sp.gamma(-a) * (2.0 * z.real - 2.0 * lam ** a)
         return psi.astype(complex) if np.ndim(psi) else complex(psi)
     if isinstance(spec, GaussianValidation):
         psi = -0.5 * (spec.sigma * theta) ** 2
@@ -298,25 +297,6 @@ def sample_increments(spec, grid: SampleGrid, seed: int, stream: int = 0) -> np.
 
 # ---------------------------------------------------------------------------
 # flat key=value serialization (CLI config)
-
-def spec_to_config(spec) -> dict:
-    if isinstance(spec, CompoundPoisson):
-        cfg = {"driver": "cpois", "intensity": spec.intensity}
-        j = spec.jump_law
-        if isinstance(j, UniformSymmetric):
-            cfg.update(jumps="uniform", a=j.a)
-        elif isinstance(j, GaussianJumps):
-            cfg.update(jumps="gauss", jump_sigma=j.sigma)
-        elif isinstance(j, TwoPoint):
-            cfg.update(jumps="twopoint", c=j.c)
-        return cfg
-    if isinstance(spec, TemperedStable):
-        return {"driver": "tstable", "alpha": spec.alpha,
-                "lambda_noise": spec.lambda_noise, "scale": spec.scale}
-    if isinstance(spec, GaussianValidation):
-        return {"driver": "gauss", "sigma": spec.sigma}
-    raise TypeError(f"unknown driver spec {spec!r}")
-
 
 def spec_from_config(cfg: dict):
     kind = cfg.get("driver", "cpois")

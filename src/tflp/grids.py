@@ -91,7 +91,3 @@ class SamplePath:
         if self.kind in ("TFLP1", "TFLP2") and self.grid.x_min == 0.0:
             if self.values[0] != 0.0:
                 raise ValueError("SamplePath: process paths start at S(0) = 0")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.points

@@ -9,25 +9,23 @@ independent oracle.
 import numpy as np
 from scipy import special as _sp
 
-__all__ = ["gamma_fn", "bessel_k", "bessel_k_scaled", "PoleError"]
+from .errors import ParameterError
+
+__all__ = ["gamma_fn", "bessel_k", "bessel_k_scaled"]
 
 # Gamma overflows in double precision slightly above this argument.
 _GAMMA_OVERFLOW = 171.62
 
 
-class PoleError(ValueError):
-    """Raised when the gamma function is evaluated at a non-positive integer."""
-
-
 def gamma_fn(x):
     """Gamma function Gamma(x) for real x.
 
-    Raises PoleError at zero and negative integers and OverflowError
+    Raises ParameterError at zero and negative integers and OverflowError
     when the result is not representable in double precision.
     """
     x = float(x)
     if x <= 0.0 and x == np.floor(x):
-        raise PoleError(f"gamma_fn: pole at non-positive integer x={x}")
+        raise ParameterError(f"gamma_fn: pole at non-positive integer x={x}")
     if x > _GAMMA_OVERFLOW:
         raise OverflowError(f"gamma_fn: overflow for x={x}")
     return float(_sp.gamma(x))

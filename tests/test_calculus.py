@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tflp.calculus import (
-    GridTooNarrowError, fft_convolver, fourier_multiplier,
-    frac_derivative_minus, frac_derivative_plus, frac_integral_minus,
-    frac_integral_plus, sobolev_norm,
+    fft_convolver, fourier_multiplier, frac_derivative_minus,
+    frac_derivative_plus, frac_integral_minus, frac_integral_plus,
+    sobolev_norm,
 )
+from tflp.errors import ToleranceError
 from tflp.grids import GridFunction, SampleGrid
 
 
@@ -131,7 +132,7 @@ def test_sobolev_norm_equivalence_across_tempering():
 def test_grid_too_narrow_raises():
     g = SampleGrid(-10.0, 10.0, 256)
     f = GridFunction.from_callable(g, lambda x: np.exp(-x ** 2))
-    with pytest.raises(GridTooNarrowError):
+    with pytest.raises(ToleranceError):
         frac_integral_minus(f, 0.5, 0.7)
 
 

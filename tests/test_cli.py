@@ -1,9 +1,11 @@
 """Command line front end: pipelines, manifests, config precedence, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from tflp import processes
 from tflp.cli import main, read_csv
@@ -181,10 +183,42 @@ def test_cell_budget_exits_3(tmp_path, monkeypatch, capsys):
                 "--tmax", "1", "--n", "8", "--out", out]) == 3
     assert "budget" in capsys.readouterr().err
     assert not out.exists()
+    # a --range is counted against the same budget before it is allocated
+    assert run(["analytic", "acvf1", "--d", "0.2", "--lambda", "0.5",
+                "--range", "0:1000:1", "--out", out]) == 3
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    ("analytic varlimit --d 100 --lambda 1 --out {tmp}/x.csv", {}, 3),
+    ("analytic varlimit --d 0.3 --lambda 1e-300 --out {tmp}/x.csv", {}, 3),
+    ("analytic cov1 --lambda 1 --range 0:3:1 --out {tmp}/x.csv", {}, 2),
+    ("simulate tflp1 --d 0.3 --lambda 1 --tmax 1 --n 8 --out {tmp}/nodir/x.csv",
+     {}, 2),
+    ("simulate tflp1 --config {tmp}/missing.cfg --out {tmp}/x.csv", {}, 2),
+    ("rerun {tmp}/missing.json", {}, 2),
+    ("rerun {tmp}/m.json", {"m.json": '{"config": {}}'}, 2),
+    ("rerun {tmp}/m.json", {"m.json": '{"command": "analytic", "config": {}}'}, 2),
+    ("rerun {tmp}/m.json", {"m.json": "[1, 2]"}, 2),
+    ("estimate acvf --input {tmp}/in.csv --out {tmp}/x.csv",
+     {"in.csv": "t\ntime\n0\n1\n2\n"}, 2),
+    ("estimate holder --input {tmp}/in.csv --out {tmp}/x.csv",
+     {"in.csv": "t,path0\ntime,value\n0,0\n"}, 2),
+])
+def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, code):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(argv.format(tmp=tmp_path).split()) == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "parameter error: ", 3: "tolerance error: "}[code])
+    assert "Traceback" not in err
 
 
 def test_verify_suites_pass(tmp_path, capsys):
-    for suite in ("calculus", "covariance"):
-        assert run(["verify", suite]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for suite in ("calculus", "covariance", "spectra"):
+            assert run(["verify", suite]) == 0
     text = capsys.readouterr().out
     assert "PASS" in text and "FAIL" not in text.replace("FAILED", "")

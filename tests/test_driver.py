@@ -6,7 +6,7 @@ import pytest
 from tflp.driver import (
     CompoundPoisson, GaussianJumps, GaussianValidation, TemperedStable,
     TwoPoint, UniformSymmetric, char_exponent, sample_increments,
-    second_moment, spec_from_config, spec_to_config,
+    second_moment, spec_from_config,
 )
 from tflp.grids import SampleGrid
 
@@ -35,6 +35,7 @@ def test_second_moment_matches_char_exponent_curvature():
         CompoundPoisson(intensity=2.0, jump_law=UniformSymmetric(a=1.0)),
         CompoundPoisson(intensity=0.5, jump_law=GaussianJumps(sigma=2.0)),
         TemperedStable(alpha=0.7, lambda_noise=1.2, scale=0.8),
+        TemperedStable(alpha=1.0, lambda_noise=1.2, scale=0.8),
         GaussianValidation(sigma=1.3),
     ]
     for spec in specs:
@@ -48,6 +49,7 @@ def test_sampled_increment_moments():
     specs = [
         CompoundPoisson(intensity=3.0, jump_law=UniformSymmetric(a=1.0)),
         TemperedStable(alpha=0.6, lambda_noise=1.0, scale=1.0),
+        TemperedStable(alpha=1.0, lambda_noise=1.0, scale=0.5),
         TemperedStable(alpha=1.4, lambda_noise=1.0, scale=0.5),
         GaussianValidation(sigma=0.8),
     ]
@@ -72,15 +74,19 @@ def test_determinism_and_stream_independence():
 
 
 def test_config_roundtrip():
-    specs = [
-        CompoundPoisson(intensity=2.5, jump_law=UniformSymmetric(a=0.3)),
-        CompoundPoisson(intensity=1.0, jump_law=GaussianJumps(sigma=2.0)),
-        CompoundPoisson(intensity=1.0, jump_law=TwoPoint(c=0.4)),
-        TemperedStable(alpha=0.7, lambda_noise=2.0, scale=1.5),
-        GaussianValidation(sigma=0.9),
+    cases = [
+        ({"driver": "cpois", "intensity": 2.5, "jumps": "uniform", "a": 0.3},
+         CompoundPoisson(intensity=2.5, jump_law=UniformSymmetric(a=0.3))),
+        ({"driver": "cpois", "intensity": 1.0, "jumps": "gauss", "jump_sigma": 2.0},
+         CompoundPoisson(intensity=1.0, jump_law=GaussianJumps(sigma=2.0))),
+        ({"driver": "cpois", "intensity": 1.0, "jumps": "twopoint", "c": 0.4},
+         CompoundPoisson(intensity=1.0, jump_law=TwoPoint(c=0.4))),
+        ({"driver": "tstable", "alpha": 0.7, "lambda_noise": 2.0, "scale": 1.5},
+         TemperedStable(alpha=0.7, lambda_noise=2.0, scale=1.5)),
+        ({"driver": "gauss", "sigma": 0.9}, GaussianValidation(sigma=0.9)),
     ]
-    for spec in specs:
-        assert spec_from_config(spec_to_config(spec)) == spec
+    for cfg, spec in cases:
+        assert spec_from_config(cfg) == spec
 
 
 def test_gaussian_driver_flagged_outside_condition():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tflp.special import PoleError, bessel_k, bessel_k_scaled, gamma_fn
+from tflp.errors import ParameterError
+from tflp.incgamma import upper_gamma
+from tflp.special import bessel_k, bessel_k_scaled, gamma_fn
 
 
 def test_gamma_basic_values():
@@ -23,10 +25,19 @@ def test_gamma_recurrence():
 
 def test_gamma_poles_and_overflow():
     for n in (0, -1, -2, -7):
-        with pytest.raises(PoleError):
+        with pytest.raises(ParameterError):
             gamma_fn(float(n))
     with pytest.raises(OverflowError):
         gamma_fn(200.0)
+
+
+def test_upper_gamma_at_zero_and_minus_one():
+    # Gamma(0, x) = E_1(x); Gamma(-1, x) follows from it by the recurrence
+    for s in (0.0, -1.0):
+        for x in (0.01, 0.5, 3.0):
+            ref, _ = quad(lambda u: u ** (s - 1.0) * np.exp(-u), x, np.inf,
+                          epsabs=0.0, epsrel=1e-13, limit=200)
+            assert abs(upper_gamma(s, x) / ref - 1.0) < 1e-12, (s, x)
 
 
 def test_bessel_k_integral_representation():
