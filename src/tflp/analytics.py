@@ -15,8 +15,7 @@ Central object: with nu = d + 1/2,
 so that Cov[S^I(t), S^I(s)] = EL2/(2 Gamma(1+d)^2) {G(t)+G(s)-G(t-s)}.
 G(0) = 0 (the two terms cancel exactly in the limit); for small
 lam |t| the difference is evaluated by a series to avoid catastrophic
-cancellation, and for large lam |t| with the exponentially scaled
-Bessel function.
+cancellation.
 
 Spectral densities are returned exactly as displayed, normalized to
 E[L(1)^2] = 1:
@@ -93,11 +92,8 @@ def _big_g(d: float, lam: float, t: float) -> float:
             if k > 2 and abs(term) < 1e-18 * abs(total):
                 break
         return pref * total
-    if z > 30.0:
-        bess = bessel_k_scaled(nu, z) * np.exp(-z)
-    else:
-        bess = bessel_k(nu, z)
-    return A - B * t ** nu * bess
+    # K_nu underflows only where its term is far below the rounding of A
+    return A - B * t ** nu * bessel_k(nu, z)
 
 
 def ct_squared(params: TemperedParams, t: float) -> float:

@@ -32,7 +32,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ToleranceError
 from .grids import GridFunction
-from .incgamma import lower_gamma, upper_gamma
+from .special import lower_gamma, upper_gamma
 
 __all__ = [
     "frac_integral_minus", "frac_integral_plus",
@@ -41,12 +41,15 @@ __all__ = [
 ]
 
 
-def _check_width(f, lam, tol):
+_TOL = 1e-6  # largest kernel mass e^{-lambda w/2} lost past the grid edge
+
+
+def _check_width(f, lam):
     width = f.grid.x_max - f.grid.x_min
-    if np.exp(-lam * 0.5 * width) > tol:
+    if np.exp(-lam * 0.5 * width) > _TOL:
         raise ToleranceError(
             f"grid half-width {0.5 * width:.3g} too small for lambda={lam}: "
-            f"exp(-lambda*w/2)={np.exp(-lam * 0.5 * width):.3g} > tol={tol}")
+            f"exp(-lambda*w/2)={np.exp(-lam * 0.5 * width):.3g} > tol={_TOL}")
 
 
 def _reversed(f):
@@ -69,12 +72,11 @@ def _correlate(weights, values, n):
     return conv[: n + 1][::-1]
 
 
-def frac_integral_minus(f: GridFunction, kappa: float, lam: float,
-                        tol: float = 1e-6) -> GridFunction:
+def frac_integral_minus(f: GridFunction, kappa: float, lam: float) -> GridFunction:
     """Negative tempered fractional integral I^{kappa,lambda}_- f on f's grid."""
     if kappa <= 0 or lam <= 0:
         raise ValueError("frac_integral_minus: requires kappa > 0 and lambda > 0")
-    _check_width(f, lam, tol)
+    _check_width(f, lam)
     n = f.grid.n_cells
     dx = f.grid.dx
     # kernel moments over cells [p dx, (p+1) dx]:
@@ -97,10 +99,9 @@ def frac_integral_minus(f: GridFunction, kappa: float, lam: float,
     return GridFunction(f.grid, out)
 
 
-def frac_integral_plus(f: GridFunction, kappa: float, lam: float,
-                       tol: float = 1e-6) -> GridFunction:
+def frac_integral_plus(f: GridFunction, kappa: float, lam: float) -> GridFunction:
     """Positive tempered fractional integral; mirror of the negative one."""
-    g = frac_integral_minus(_reversed(f), kappa, lam, tol)
+    g = frac_integral_minus(_reversed(f), kappa, lam)
     return GridFunction(f.grid, g.values[::-1].copy())
 
 

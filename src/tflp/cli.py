@@ -5,6 +5,12 @@ analytic (tabulate closed-form curves), estimate (empirical estimators
 on CSV input), verify (invariant batteries with a pass/fail table) and
 rerun (re-execute a saved manifest).
 
+Each choice is written once, in a table: _COMMANDS (positional, its
+values, config keys, required keys, runner per command), _FIELDS (type
+and default per key), _CURVES (default range, columns and row values per
+analytic curve) and _SUITES (verify batteries).  build_parser reads
+them, and _dispatch checks fresh runs and reruns against them.
+
 Reproducibility contract: every run writes a JSON manifest with the
 fully resolved configuration next to its output; `tflp rerun
 <manifest>` reproduces the outputs byte for byte.  Outputs carry no
@@ -30,7 +36,8 @@ import numpy as np
 from . import analytics, processes
 from .calculus import (fourier_multiplier, frac_derivative_minus,
                        frac_integral_minus)
-from .driver import sample_increments, second_moment, spec_from_config
+from .driver import (DRIVER_DEFAULTS, sample_increments, second_moment,
+                     spec_from_config)
 from .errors import ParameterError, ToleranceError
 from .grids import GridFunction, SampleGrid
 from .integration import ElementaryFunction, transform_integrand
@@ -80,11 +87,15 @@ def read_csv(path):
     return lines[0].split(","), data
 
 
-def write_manifest(out_path, command, config):
-    manifest = {"command": command, "config": config, "tool": "tflp"}
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_manifest(out_path, command, config):
+    _write_json(out_path + ".manifest.json",
+                {"command": command, "config": config, "tool": "tflp"})
 
 
 def load_config_file(path):
@@ -112,10 +123,7 @@ _FIELDS = {
     "d": (float, None), "lam": (float, None), "el2": (float, 1.0),
     "tmax": (float, 10.0), "n": (int, 256), "refine": (int, 8),
     "trunc_width": (float, 0.0), "ensemble": (int, 1), "seed": (int, 0),
-    "driver": (str, "cpois"), "jumps": (str, "uniform"),
-    "intensity": (float, 1.0), "a": (float, 1.0), "jump_sigma": (float, 1.0),
-    "c": (float, 1.0), "alpha": (float, 0.7), "lambda_noise": (float, 0.01),
-    "scale": (float, 1.0), "sigma": (float, 1.0),
+    **{k: (type(v), v) for k, v in DRIVER_DEFAULTS.items()},
     "range": (str, None), "out": (str, None), "input": (str, None),
     "max_lag": (int, 50), "segment_length": (int, 1024),
     "taus": (str, "1,2,4,8,16"),
@@ -123,11 +131,12 @@ _FIELDS = {
 }
 
 
-def _resolve(args, keys):
+def _resolve(args):
     """Merge flags > config file > defaults into a flat config dict."""
-    file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
+    positional, _, keys, _, _ = _COMMANDS[args.command]
+    file_cfg = load_config_file(args.config) if args.config else {}
     cfg = {}
-    for k in keys:
+    for k in (positional, *keys):
         typ, default = _FIELDS[k]
         val = getattr(args, k, None)
         if val is None and k in file_cfg:
@@ -136,14 +145,6 @@ def _resolve(args, keys):
             val = default
         cfg[k] = val
     return cfg
-
-
-_DRIVER_KEYS = ("driver", "jumps", "intensity", "a", "jump_sigma", "c", "alpha",
-                "lambda_noise", "scale", "sigma")
-
-
-def _driver_from_cfg(cfg):
-    return spec_from_config({k: cfg[k] for k in _DRIVER_KEYS if cfg[k] is not None})
 
 
 def _parse_range(spec):
@@ -163,14 +164,12 @@ def _parse_range(spec):
 # ---------------------------------------------------------------- simulate
 
 def run_simulate(cfg):
-    if cfg["kind"] not in ("tflp1", "tflp2", "tfln1", "tfln2"):
-        raise ParameterError(f"unknown kind {cfg['kind']!r}")
     if cfg["ensemble"] < 1:
         raise ParameterError("simulate: --ensemble must be >= 1")
     grid = SampleGrid(0.0, cfg["tmax"], cfg["n"])
     paths = simulate_ensemble("TFLP" + cfg["kind"][-1],
                               TemperedParams(cfg["d"], cfg["lam"]), grid,
-                              _driver_from_cfg(cfg), cfg["seed"], cfg["ensemble"],
+                              spec_from_config(cfg), cfg["seed"], cfg["ensemble"],
                               cfg["trunc_width"], cfg["refine"])
     if cfg["kind"].startswith("tfln"):
         grid, paths = _unit_lag_noise(grid, paths, cfg["unit_lag"])
@@ -181,42 +180,37 @@ def run_simulate(cfg):
 
 # ---------------------------------------------------------------- analytic
 
+# curve -> (default --range, column names, units, row values after x);
+# analytics functions are looked up at call time
+_CURVES = {
+    "cov1": ("0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
+             lambda p, t, el2: [analytics.cov_tflp1(p, t, t, el2)]),
+    "cov2": ("0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
+             lambda p, t, el2: [analytics.cov_tflp2(p, t, t, el2)]),
+    "acvf1": ("0:50:1", ["h", "gamma"], ["lag", "value^2"],
+              lambda p, h, el2: [analytics.acvf_tfln1(p, h, el2)]),
+    "acvf2": ("0:50:1", ["h", "gamma"], ["lag", "value^2"],
+              lambda p, h, el2: [analytics.acvf_tfln2(p, h, el2)]),
+    "spec1": ("0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
+              lambda p, w, el2: [el2 * analytics.spec_density_tfln1(p, w)]),
+    "spec2": ("0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
+              lambda p, w, el2: [el2 * analytics.spec_density_tfln2(p, w)]),
+    "acvf2band": ("1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
+                  lambda p, h, el2: [el2 * b for b in
+                                     analytics.acvf_tfln2_asymptotic_band(p, h)]),
+}
+
+
 def run_analytic(cfg):
-    curve = cfg["curve"]
     params = TemperedParams(cfg["d"], cfg["lam"])
-    el2 = cfg["el2"]
-    if curve == "varlimit":
-        val = analytics.var_limit_tflp1(params, el2)
-        write_csv(cfg["out"], ["var_limit"], ["value^2"], [[val]])
-    elif curve in ("cov1", "cov2"):
-        ts = _parse_range(cfg["range"] or "0.25:5:0.25")
-        fn = analytics.cov_tflp1 if curve == "cov1" else analytics.cov_tflp2
-        rows = [[t, fn(params, t, t, el2)] for t in ts]
-        write_csv(cfg["out"], ["t", "variance"], ["time", "value^2"], rows)
-    elif curve == "acvf1":
-        hs = _parse_range(cfg["range"] or "0:50:1")
-        rows = [[h, analytics.acvf_tfln1(params, h, el2)] for h in hs]
-        write_csv(cfg["out"], ["h", "gamma"], ["lag", "value^2"], rows)
-    elif curve == "acvf2":
-        hs = _parse_range(cfg["range"] or "0:50:1")
-        rows = [[h, analytics.acvf_tfln2(params, h, el2)] for h in hs]
-        write_csv(cfg["out"], ["h", "gamma"], ["lag", "value^2"], rows)
-    elif curve in ("spec1", "spec2"):
-        ws = _parse_range(cfg["range"] or "0:3.141:0.01")
-        fn = (analytics.spec_density_tfln1 if curve == "spec1"
-              else analytics.spec_density_tfln2)
-        rows = [[w, el2 * fn(params, w)] for w in ws]
-        write_csv(cfg["out"], ["omega", "power"], ["rad/step", "value^2*step"], rows)
-    elif curve == "acvf2band":
-        hs = _parse_range(cfg["range"] or "1:50:1")
-        rows = []
-        for h in hs:
-            lo, hi = analytics.acvf_tfln2_asymptotic_band(params, h)
-            rows.append([h, el2 * lo, el2 * hi])
-        write_csv(cfg["out"], ["h", "lower", "upper"],
-                  ["lag", "value^2", "value^2"], rows)
+    if cfg["curve"] == "varlimit":
+        write_csv(cfg["out"], ["var_limit"], ["value^2"],
+                  [[analytics.var_limit_tflp1(params, cfg["el2"])]])
     else:
-        raise ParameterError(f"unknown curve {curve!r}")
+        default, names, units, values = _CURVES[cfg["curve"]]
+        rows = [[x, *values(params, x, cfg["el2"])]
+                for x in _parse_range(cfg["range"] or default)]
+        write_csv(cfg["out"], names, units, rows)
     write_manifest(cfg["out"], "analytic", cfg)
 
 
@@ -226,46 +220,31 @@ def run_estimate(cfg):
     task = cfg["task"]
     names, data = read_csv(cfg["input"])
     if task == "acvf":
-        series = data[:, 1]
-        ac = analytics.empirical_acvf(series, cfg["max_lag"])
-        rows = [[h, g] for h, g in enumerate(ac)]
-        write_csv(cfg["out"], ["h", "gamma"], ["lag", "value^2"], rows)
+        ac = analytics.empirical_acvf(data[:, 1], cfg["max_lag"])
+        write_csv(cfg["out"], ["h", "gamma"], ["lag", "value^2"], enumerate(ac))
     elif task == "periodogram":
-        series = data[:, 1]
-        om, pw = analytics.periodogram(series, cfg["segment_length"])
+        om, pw = analytics.periodogram(data[:, 1], cfg["segment_length"])
         write_csv(cfg["out"], ["omega", "power"], ["rad/step", "value^2*step"],
                   np.column_stack([om, pw]))
     elif task == "fit-semilrd":
         fit = analytics.fit_semi_lrd(data[:, :2])
-        payload = {
+        _write_json(cfg["out"], {
             "lambda_hat": fit.lambda_hat, "delta_hat": fit.delta_hat,
             "c_hat": fit.c_hat, "fit_range": list(fit.fit_range),
             "residual_rms": fit.residual_rms,
-        }
-        with open(cfg["out"], "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    elif task == "holder":
-        # input: wide ensemble CSV (t, path0, path1, ...)
-        t = data[:, 0]
-        paths = data[:, 1:].T
-        dx = float(t[1] - t[0])
+        })
+    else:  # holder; input: wide ensemble CSV (t, path0, path1, ...)
+        dx = float(data[1, 0] - data[0, 0])
         taus = [int(v) for v in cfg["taus"].split(",")]
-        est = analytics.structure_exponent(paths, dx, taus)
-        with open(cfg["out"], "w") as fh:
-            json.dump(est, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    else:
-        raise ParameterError(f"unknown task {task!r}")
+        _write_json(cfg["out"],
+                    analytics.structure_exponent(data[:, 1:].T, dx, taus))
     write_manifest(cfg["out"], "estimate", cfg)
 
 
 # ---------------------------------------------------------------- verify
 
 def _check(table, name, value, expected, tol):
-    ok = abs(value - expected) <= tol
-    table.append((name, value, expected, tol, ok))
-    return ok
+    table.append((name, value, expected, tol, abs(value - expected) <= tol))
 
 
 def _verify_calculus(cfg, table):
@@ -309,7 +288,7 @@ def _verify_covariance(cfg, table):
 
 def _verify_isometry(cfg, table):
     n = cfg["n_draws"]
-    driver = _driver_from_cfg(cfg)
+    driver = spec_from_config(cfg)
     el2 = second_moment(driver)
     cases = [("TFLP2", 0.3), ("TFLP2", -0.3), ("TFLP1", -0.3), ("TFLP1", 0.3)]
     f = ElementaryFunction.indicator(1.0)
@@ -322,13 +301,11 @@ def _verify_isometry(cfg, table):
         for i in range(n):
             draws[i] = np.sum(F * sample_increments(driver, g, cfg["seed"],
                                                     stream=i))
-        pred = el2 * tr.norm ** 2
-        ratio = float(draws.var() / pred)
         m2 = draws.var()
         m4 = np.mean((draws - draws.mean()) ** 4)
         se = float(np.sqrt(max(m4 - m2 ** 2, 0.0) / n) / m2)
-        regime = tr.regime
-        _check(table, f"isometry {regime} ({target}, d={d})", ratio, 1.0, 3 * se)
+        _check(table, f"isometry {tr.regime} ({target}, d={d})",
+               float(m2 / (el2 * tr.norm ** 2)), 1.0, 3 * se)
 
 
 def _verify_spectra(cfg, table):
@@ -348,23 +325,20 @@ def _verify_spectra(cfg, table):
         _check(table, f"gamma2 dual route h={h}", b, f, 1e-5 * abs(b))
 
 
+_SUITES = {
+    "calculus": _verify_calculus, "covariance": _verify_covariance,
+    "isometry": _verify_isometry, "spectra": _verify_spectra,
+}
+
+
 def run_verify(cfg):
     table = []
-    suites = {
-        "calculus": _verify_calculus, "covariance": _verify_covariance,
-        "isometry": _verify_isometry, "spectra": _verify_spectra,
-    }
-    chosen = list(suites) if cfg["suite"] == "all" else [cfg["suite"]]
-    for name in chosen:
-        if name not in suites:
-            raise ParameterError(f"unknown suite {name!r}")
-        suites[name](cfg, table)
+    for name in _SUITES if cfg["suite"] == "all" else [cfg["suite"]]:
+        _SUITES[name](cfg, table)
     width = max(len(r[0]) for r in table)
-    all_ok = True
+    all_ok = all(r[4] for r in table)
     for name, value, expected, tol, ok in table:
-        all_ok &= ok
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name:<{width}}  value={value:.6g} "
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  value={value:.6g} "
               f"expected={expected:.6g} tol={tol:.2g}")
     print(f"{'OK' if all_ok else 'FAILED'}: {sum(r[4] for r in table)}"
           f"/{len(table)} checks passed")
@@ -372,28 +346,26 @@ def run_verify(cfg):
         rows = [[i, float(r[4])] for i, r in enumerate(table)]
         write_csv(cfg["out"], ["check", "passed"], ["index", "bool"], rows)
         write_manifest(cfg["out"], "verify", cfg)
-    return all_ok
+    return EXIT_OK if all_ok else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------- plumbing
 
-_COMMAND_KEYS = {
-    "simulate": ["kind", "d", "lam", "tmax", "n", "refine", "trunc_width",
-                 "ensemble", "seed", "unit_lag", *_DRIVER_KEYS, "out"],
-    "analytic": ["curve", "d", "lam", "el2", "range", "out"],
-    "estimate": ["task", "input", "max_lag", "segment_length", "taus", "out"],
-    "verify": ["suite", "seed", "n_draws", *_DRIVER_KEYS, "out"],
-}
-
-# keys without a default that a command cannot run without
-_REQUIRED = {
-    "simulate": ("d", "lam", "out"), "analytic": ("d", "lam", "out"),
-    "estimate": ("input", "out"), "verify": (),
-}
-
-_RUNNERS = {
-    "simulate": run_simulate, "analytic": run_analytic,
-    "estimate": run_estimate,
+# command -> (positional, its values, other keys, keys without a default
+# that the command cannot run without, runner)
+_COMMANDS = {
+    "simulate": ("kind", ("tflp1", "tflp2", "tfln1", "tfln2"),
+                 ("d", "lam", "tmax", "n", "refine", "trunc_width", "ensemble",
+                  "seed", "unit_lag", *DRIVER_DEFAULTS, "out"),
+                 ("d", "lam", "out"), run_simulate),
+    "analytic": ("curve", (*_CURVES, "varlimit"),
+                 ("d", "lam", "el2", "range", "out"), ("d", "lam", "out"),
+                 run_analytic),
+    "estimate": ("task", ("acvf", "periodogram", "fit-semilrd", "holder"),
+                 ("input", "max_lag", "segment_length", "taus", "out"),
+                 ("input", "out"), run_estimate),
+    "verify": ("suite", (*_SUITES, "all"),
+               ("seed", "n_draws", *DRIVER_DEFAULTS, "out"), (), run_verify),
 }
 
 
@@ -407,41 +379,47 @@ def build_parser():
         description="Tempered fractional Levy processes: simulate, "
                     "tabulate, estimate, verify.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(cmd, positional):
-        p = sub.add_parser(cmd)
+    for command, (positional, _, keys, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command)
         p.add_argument(positional, type=str)
         p.add_argument("--config", type=str, default=None)
-        for key in _COMMAND_KEYS[cmd]:
-            if key == positional:
-                continue
+        for key in keys:
             p.add_argument(_flag(key), dest=key, type=_FIELDS[key][0], default=None)
-        return p
-
-    add("simulate", "kind")
-    add("analytic", "curve")
-    add("estimate", "task")
-    add("verify", "suite")
     rerun = sub.add_parser("rerun")
     rerun.add_argument("manifest", type=str)
     return parser
 
 
+def _parses_to(key, value):
+    """True when the key's flag parses the value's text back to the value;
+    null only for keys whose default is null."""
+    typ, default = _FIELDS[key]
+    try:
+        return default is None if value is None else repr(typ(str(value))) == repr(value)
+    except ValueError:
+        return False
+
+
 def _dispatch(command, cfg):
     """Validate a configuration, fresh or from a manifest, and run it.
     Extra keys (the retired "budget") are kept so reruns stay byte-identical."""
-    if not (isinstance(command, str) and command in _COMMAND_KEYS):
+    if not (isinstance(command, str) and command in _COMMANDS):
         raise ParameterError(f"unknown command {command!r}")
-    if not (isinstance(cfg, dict) and cfg.keys() >= set(_COMMAND_KEYS[command])):
+    positional, allowed, keys, required, runner = _COMMANDS[command]
+    keys = (positional, *keys)
+    if not (isinstance(cfg, dict) and cfg.keys() >= set(keys)):
         raise ParameterError(f"{command}: config must be an object holding "
-                             f"the keys {', '.join(_COMMAND_KEYS[command])}")
-    missing = [_flag(k) for k in _REQUIRED[command] if cfg[k] is None]
+                             f"the keys {', '.join(keys)}")
+    for key in keys:
+        if not _parses_to(key, cfg[key]):
+            raise ParameterError(f"{command}: {key} must be a "
+                                 f"{_FIELDS[key][0].__name__}, got {cfg[key]!r}")
+    if cfg[positional] not in allowed:
+        raise ParameterError(f"unknown {positional} {cfg[positional]!r}")
+    missing = [_flag(k) for k in required if cfg[k] is None]
     if missing:
         raise ParameterError(f"{command}: {', '.join(missing)} required")
-    if command == "verify":
-        return EXIT_OK if run_verify(cfg) else EXIT_VERIFY
-    _RUNNERS[command](cfg)
-    return EXIT_OK
+    return runner(cfg) or EXIT_OK  # only run_verify returns a code
 
 
 def main(argv=None) -> int:
@@ -453,8 +431,7 @@ def main(argv=None) -> int:
             if not isinstance(manifest, dict):
                 raise ParameterError(f"{args.manifest}: manifest must be a JSON object")
             return _dispatch(manifest.get("command"), manifest.get("config"))
-        cfg = _resolve(args, _COMMAND_KEYS[args.command])
-        return _dispatch(args.command, cfg)
+        return _dispatch(args.command, _resolve(args))
     except (ToleranceError, ArithmeticError) as exc:
         print(f"tolerance error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE

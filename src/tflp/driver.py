@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .grids import SampleGrid
-from .incgamma import upper_gamma as _upper_gamma
+from .special import upper_gamma as _upper_gamma
 
 __all__ = [
     "JumpLaw", "UniformSymmetric", "GaussianJumps", "TwoPoint",
@@ -253,14 +253,15 @@ def _truncated_jump_sizes(rng, alpha, lam, eps, n):
     return out
 
 
-def _tempered_stable_increments(spec, dt, n, rng, jumps_per_cell=10.0):
+def _tempered_stable_increments(spec, dt, n, rng):
     a, lam, c = spec.alpha, spec.lambda_noise, spec.scale
     if a < 1.0:
         pos = _tilted_subordinator(rng, a, lam, c, dt, n)
         neg = _tilted_subordinator(rng, a, lam, c, dt, n)
         return pos - neg  # means cancel exactly by symmetry of the construction
-    # alpha >= 1: compound Poisson above cutoff + Gaussian small-jump correction
-    eps = (2.0 * c * dt / (a * jumps_per_cell)) ** (1.0 / a)
+    # alpha >= 1: compound Poisson above cutoff + Gaussian small-jump correction;
+    # the untempered cutoff leaves about ten jumps per cell above it
+    eps = (2.0 * c * dt / (a * 10.0)) ** (1.0 / a)
     eps = min(eps, 1.0 / lam)
     # rate of jumps with |x| > eps: 2c int_eps^inf x^{-1-a} e^{-lam x} dx
     big_rate = 2.0 * c * lam ** a * float(_upper_gamma(-a, lam * eps))
@@ -298,23 +299,30 @@ def sample_increments(spec, grid: SampleGrid, seed: int, stream: int = 0) -> np.
 # ---------------------------------------------------------------------------
 # flat key=value serialization (CLI config)
 
+# the driver keys of a flat config with their defaults, in CLI flag order
+DRIVER_DEFAULTS = {"driver": "cpois", "jumps": "uniform", "intensity": 1.0, "a": 1.0,
+                   "jump_sigma": 1.0, "c": 1.0, "alpha": 0.7, "lambda_noise": 0.01,
+                   "scale": 1.0, "sigma": 1.0}
+
+
 def spec_from_config(cfg: dict):
-    kind = cfg.get("driver", "cpois")
+    """Driver spec from a flat config's driver keys; missing ones take DRIVER_DEFAULTS."""
+    cfg = {**DRIVER_DEFAULTS, **cfg}
+    kind = cfg["driver"]
     if kind == "cpois":
-        jumps = cfg.get("jumps", "uniform")
+        jumps = cfg["jumps"]
         if jumps == "uniform":
-            law = UniformSymmetric(float(cfg.get("a", 1.0)))
+            law = UniformSymmetric(float(cfg["a"]))
         elif jumps == "gauss":
-            law = GaussianJumps(float(cfg.get("jump_sigma", 1.0)))
+            law = GaussianJumps(float(cfg["jump_sigma"]))
         elif jumps == "twopoint":
-            law = TwoPoint(float(cfg.get("c", 1.0)))
+            law = TwoPoint(float(cfg["c"]))
         else:
             raise ValueError(f"unknown jump law {jumps!r}")
-        return CompoundPoisson(float(cfg.get("intensity", 1.0)), law)
+        return CompoundPoisson(float(cfg["intensity"]), law)
     if kind == "tstable":
-        return TemperedStable(float(cfg.get("alpha", 1.65)),
-                              float(cfg.get("lambda_noise", 0.01)),
-                              float(cfg.get("scale", 1.0)))
+        return TemperedStable(float(cfg["alpha"]), float(cfg["lambda_noise"]),
+                              float(cfg["scale"]))
     if kind == "gauss":
-        return GaussianValidation(float(cfg.get("sigma", 1.0)))
+        return GaussianValidation(float(cfg["sigma"]))
     raise ValueError(f"unknown driver kind {kind!r}")

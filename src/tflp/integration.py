@@ -33,9 +33,8 @@ from .calculus import frac_derivative_minus, frac_integral_minus
 from .driver import LevyDriverSpec, sample_increments, second_moment
 from .errors import ToleranceError
 from .grids import GridFunction, SampleGrid, SamplePath
-from .incgamma import lower_gamma, upper_gamma
 from .processes import TemperedParams, truncation_width
-from .special import gamma_fn
+from .special import gamma_fn, lower_gamma, upper_gamma
 
 __all__ = [
     "ElementaryFunction", "IntegrandTransform",

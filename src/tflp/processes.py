@@ -41,8 +41,7 @@ from .driver import LevyDriverSpec, sample_increments
 from .errors import ToleranceError
 from .grids import SampleGrid, SamplePath
 # upper_gamma is unused here but kept: perfbench/tracing.py wraps it at this module
-from .incgamma import lower_gamma, upper_gamma  # noqa: F401
-from .special import gamma_fn
+from .special import gamma_fn, lower_gamma, upper_gamma  # noqa: F401
 
 __all__ = [
     "TemperedParams",

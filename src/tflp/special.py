@@ -1,9 +1,10 @@
-"""Gamma function and modified Bessel function of the second kind.
+"""Gamma, incomplete gamma and modified Bessel (second kind) functions.
 
-These are the only two special functions the analytic formulas in this
-package consume.  Production evaluation is delegated to scipy.special;
-a slow quadrature form of K_nu is kept in the test suite as an
-independent oracle.
+lower_gamma(s, x) = int_0^x u^{s-1} e^{-u} du (s > 0) and
+upper_gamma(s, x) = int_x^inf u^{s-1} e^{-u} du, with Gamma(0, x) = E_1(x)
+and negative s reached by Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s.
+Evaluation is delegated to scipy.special; a slow quadrature form of
+K_nu is kept in the test suite as an independent oracle.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy import special as _sp
 
 from .errors import ParameterError
 
-__all__ = ["gamma_fn", "bessel_k", "bessel_k_scaled"]
+__all__ = ["gamma_fn", "lower_gamma", "upper_gamma", "bessel_k", "bessel_k_scaled"]
 
 # Gamma overflows in double precision slightly above this argument.
 _GAMMA_OVERFLOW = 171.62
@@ -29,6 +30,21 @@ def gamma_fn(x):
     if x > _GAMMA_OVERFLOW:
         raise OverflowError(f"gamma_fn: overflow for x={x}")
     return float(_sp.gamma(x))
+
+
+def lower_gamma(s, x):
+    """Lower incomplete gamma, s > 0, x >= 0."""
+    return _sp.gamma(s) * _sp.gammainc(s, x)
+
+
+def upper_gamma(s, x):
+    """Upper incomplete gamma for x > 0 and s > -2."""
+    x = np.asarray(x, dtype=float)
+    if s > 0:
+        return _sp.gamma(s) * _sp.gammaincc(s, x)
+    if s == 0.0:
+        return _sp.exp1(x)
+    return (upper_gamma(s + 1.0, x) - x ** s * np.exp(-x)) / s
 
 
 def bessel_k(nu, z):
@@ -49,8 +65,8 @@ def bessel_k(nu, z):
 def bessel_k_scaled(nu, z):
     """Exponentially scaled Bessel function e^z * K_nu(z), z > 0.
 
-    Avoids underflow of K_nu itself for large z; used by covariance
-    formulas at large lambda*|t|.
+    Avoids underflow of K_nu itself for large z; used by the Bessel route
+    of the TFLN II autocovariance.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):

@@ -9,7 +9,8 @@ from scipy.integrate import IntegrationWarning
 
 from tflp import processes
 from tflp.cli import main, read_csv
-from tflp.driver import CompoundPoisson, UniformSymmetric
+from tflp.driver import (CompoundPoisson, TemperedStable, UniformSymmetric,
+                         spec_from_config)
 from tflp.grids import SampleGrid
 from tflp.processes import TemperedParams, noise_path, simulate_tflp1, simulate_tflp2
 
@@ -136,6 +137,15 @@ def test_estimate_holder_json(tmp_path):
     assert manifest["config"]["task"] == "holder"
 
 
+def test_driver_defaults_match_cli_config(tmp_path):
+    out = tmp_path / "p.csv"
+    assert run(["simulate", "tflp1", "--d", "0.3", "--lambda", "1", "--tmax", "1",
+                "--n", "8", "--driver", "tstable", "--out", out]) == 0
+    config = json.loads((tmp_path / "p.csv.manifest.json").read_text())["config"]
+    spec = spec_from_config({"driver": "tstable"})
+    assert spec == spec_from_config(config) == TemperedStable(0.7, 0.01, 1.0)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "p.csv"
     manifest = tmp_path / "p.csv.manifest.json"
@@ -174,6 +184,21 @@ def test_parameter_errors_exit_2(tmp_path):
                 "--out", out]) == 2
     assert run(["estimate", "acvf", "--input", str(tmp_path / "missing.csv"),
                 "--out", out]) == 2
+    # the positional is checked once, before anything runs, for every command
+    series = tmp_path / "series.csv"
+    series.write_text("t,x\ntime,value\n0,1\n1,2\n2,0\n")
+    assert run(["analytic", "nosuch", "--d", "0.3", "--lambda", "1",
+                "--out", out]) == 2
+    assert run(["estimate", "nosuch", "--input", series, "--out", out]) == 2
+    assert run(["verify", "nosuch", "--out", out]) == 2
+    assert not out.exists()
+    assert run(["analytic", "acvf1", "--d", "0.3", "--lambda", "1",
+                "--range", "0:2:1", "--out", out]) == 0
+    manifest = tmp_path / "x.csv.manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["config"]["curve"] = "nosuch"
+    manifest.write_text(json.dumps(payload))
+    assert run(["rerun", manifest]) == 2
 
 
 def test_cell_budget_exits_3(tmp_path, monkeypatch, capsys):
@@ -205,6 +230,13 @@ def test_cell_budget_exits_3(tmp_path, monkeypatch, capsys):
      {"in.csv": "t\ntime\n0\n1\n2\n"}, 2),
     ("estimate holder --input {tmp}/in.csv --out {tmp}/x.csv",
      {"in.csv": "t,path0\ntime,value\n0,0\n"}, 2),
+    # values of the wrong type, and null where the key has a default
+    ("rerun {tmp}/m.json", {"m.json": json.dumps({"command": "analytic", "config": {
+        "curve": "cov1", "d": "0.3", "lam": 1.0, "el2": 1.0, "range": "0:3:1",
+        "out": "x.csv"}})}, 2),
+    ("rerun {tmp}/m.json", {"m.json": json.dumps({"command": "analytic", "config": {
+        "curve": "cov1", "d": 0.3, "lam": 1.0, "el2": None, "range": "0:3:1",
+        "out": "x.csv"}})}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, code):
     for name, text in files.items():

@@ -10,13 +10,12 @@ from tflp.driver import (CompoundPoisson, TwoPoint, UniformSymmetric,
                          sample_increments, second_moment)
 from tflp.errors import ToleranceError
 from tflp.grids import SampleGrid
-from tflp.incgamma import lower_gamma, upper_gamma
 from tflp.processes import (
     TemperedParams, _cell_averages, _w, _w_antideriv, kernel_g1, kernel_g2,
     noise_path, simulate_ensemble, simulate_smooth_regime, simulate_tflp1,
     simulate_tflp2, total_variation, truncation_width,
 )
-from tflp.special import gamma_fn
+from tflp.special import gamma_fn, lower_gamma, upper_gamma
 
 CP = CompoundPoisson(intensity=2.0, jump_law=UniformSymmetric(a=1.0))
 

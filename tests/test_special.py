@@ -7,8 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from tflp.errors import ParameterError
-from tflp.incgamma import upper_gamma
-from tflp.special import bessel_k, bessel_k_scaled, gamma_fn
+from tflp.special import bessel_k, bessel_k_scaled, gamma_fn, upper_gamma
 
 
 def test_gamma_basic_values():
