@@ -15,7 +15,20 @@ Central object: with nu = d + 1/2,
 so that Cov[S^I(t), S^I(s)] = EL2/(2 Gamma(1+d)^2) {G(t)+G(s)-G(t-s)}.
 G(0) = 0 (the two terms cancel exactly in the limit); for small
 lam |t| the difference is evaluated by a series to avoid catastrophic
-cancellation.
+cancellation: the reflection form of K_nu, or the integer-order series
+(DLMF 10.31.1) when nu is an integer, where that form divides by 0.
+
+The type II covariance has the same shape, with mu = d - 1/2:
+Cov[S^II(s), S^II(t)] = EL2 K {H(s) + H(t) - H(|t-s|)},
+K = 1/(sqrt(pi) Gamma(d) (2 lam)^mu), and
+
+  H(x) = int_0^x (x-u) u^mu K_mu(lam u) du = x Phi0(x) - Phi1(x),
+  Phi1(x) = int_0^x u^{mu+1} K_mu(lam u) du = G(x)/(lam B)   (DLMF 10.29.4),
+  Phi0(x) = int_0^x u^mu K_mu(lam u) du
+          = lam^{-mu-1} 2^{mu-1} sqrt(pi) Gamma(d) S(lam x) (DLMF 10.43.2),
+  S(z) = z [K_mu(z) L_{mu-1}(z) + L_mu(z) K_{mu-1}(z)] -> 1 (DLMF 10.43.19),
+
+with L the modified Struve function and B the coefficient in G.
 
 Spectral densities are returned exactly as displayed, normalized to
 E[L(1)^2] = 1:
@@ -30,13 +43,14 @@ the closed form at d = 0 where gamma1(0) = 1 - 1/e for lam = 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .processes import TemperedParams, kernel_g1, kernel_g2
-from .special import bessel_k, bessel_k_scaled, gamma_fn
+from .processes import TemperedParams
+from .special import bessel_k, bessel_k_scaled, gamma_fn, struve_l
 
 __all__ = [
     "SemiLrdFit",
@@ -71,6 +85,20 @@ def _big_g(d: float, lam: float, t: float) -> float:
     z = lam * t
     A = 2.0 * gamma_fn(1.0 + 2.0 * d) / (2.0 * lam) ** (1.0 + 2.0 * d)
     B = (2.0 * gamma_fn(1.0 + d) / _SQRT_PI) * (2.0 * lam) ** (-nu)
+    if z <= 0.5 and nu == int(nu):
+        # z^n K_n(z) by DLMF 10.31.1, q = z^2/4, less its k = 0 term 2^{n-1}
+        # (n-1)! = A lam^n / B; harm = psi(k+1) + psi(n+k+1) + 2 euler_gamma
+        n, q = int(nu), 0.25 * z * z
+        total = sum(2.0 ** (n - 1) * math.factorial(n - k - 1) / math.factorial(k)
+                    * (-q) ** k for k in range(1, n))
+        term = (-2.0 * q) ** n / math.factorial(n)
+        harm = sum(1.0 / j for j in range(1, n + 1))
+        for k in range(12):  # q^k / (k! (n+k)!) < 1e-25 beyond, as q <= 1/16
+            if k > 0:
+                term *= q / (k * (n + k))
+                harm += 1.0 / k + 1.0 / (n + k)
+            total += term * (0.5 * (harm - math.log(q)) - np.euler_gamma)
+        return -B * lam ** (-n) * total
     if z <= 0.5:
         # series of A - B t^nu K_nu(lam t) with the leading singular term
         # cancelled analytically (reflection form of K_nu); no cancellation
@@ -119,31 +147,25 @@ def var_limit_tflp1(params: TemperedParams, EL2: float = 1.0) -> float:
     return 2.0 * EL2 * gamma_fn(1.0 + 2.0 * d) / (g * g * (2.0 * lam) ** (1.0 + 2.0 * d))
 
 
-def _bessel_weight(d: float, lam: float, r):
-    """|r|^{d-1/2} K_{d-1/2}(lam |r|), continuous at 0 for d > 1/2."""
-    r = np.abs(np.asarray(r, dtype=float))
-    nu = d - 0.5
-    out = np.empty_like(r)
-    zero = r == 0.0
-    if np.any(zero):
-        if d > 0.5:
-            out[zero] = gamma_fn(nu) * 2.0 ** (nu - 1.0) * lam ** (-nu)
-        else:
-            raise ValueError("bessel weight: singular at r = 0 for d <= 1/2")
-    nz = ~zero
-    out[nz] = r[nz] ** nu * bessel_k(nu, lam * r[nz])
-    return out if out.ndim else float(out)
+def _big_h(d: float, lam: float, x: float) -> float:
+    """K H(x): K Phi0(x) = lam^{-2d} S(lam x)/2, K Phi1(x) = G(x)/(Gamma(d)
+    Gamma(1+d)).  S is 1 to within 1e-17 from z = 40 + 2 mu on (and L_mu
+    would overflow further out), so it is taken as 1 there."""
+    x = abs(float(x))
+    if x == 0.0:
+        return 0.0
+    mu, z = d - 0.5, lam * x
+    S = 1.0
+    if z < 40.0 + 2.0 * mu:
+        S = z * (bessel_k(mu, z) * struve_l(mu - 1.0, z)
+                 + struve_l(mu, z) * bessel_k(mu - 1.0, z))
+    return 0.5 * x * S / lam ** (2.0 * d) \
+        - _big_g(d, lam, x) / (gamma_fn(d) * gamma_fn(1.0 + d))
 
 
 def cov_tflp2(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> float:
-    """Cov[S^II(s), S^II(t)], closed Bessel form, restricted to d > 0.
-
-    The double integral over [0,t] x [0,s] of |u-v|^{d-1/2} K_{d-1/2}
-    collapses to one dimension with the overlap weight
-    m(r) = max(0, min(t, s+r) - max(0, r)); the integrable |r|^{2d-1}
-    diagonal singularity sits at r = 0 and is split out for quadrature.
-    """
-    from scipy import integrate as _integrate
+    """Cov[S^II(s), S^II(t)] = EL2 K [H(s) + H(t) - H(|t-s|)] for d > 0, with
+    H = x Phi0 - Phi1 in closed form (module docstring; DLMF 10.29.4, 10.43.2)."""
     d, lam = params.d, params.lam
     if not d > 0:
         raise ValueError("cov_tflp2: closed form requires d > 0")
@@ -152,21 +174,7 @@ def cov_tflp2(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> f
         return 0.0
     if s < 0 or t < 0:
         raise ValueError("cov_tflp2: requires s, t >= 0")
-    K = EL2 / (_SQRT_PI * gamma_fn(d) * (2.0 * lam) ** (d - 0.5))
-
-    def integrand(r):
-        m = min(t, s + r) - max(0.0, r)
-        if m <= 0.0:
-            return 0.0
-        return m * float(_bessel_weight(d, lam, abs(r)))
-
-    lo, hi = -s, t
-    val = 0.0
-    for a, b in ((lo, 0.0), (0.0, hi)):
-        part, _ = _integrate.quad(integrand, a, b, limit=400,
-                                  epsabs=1e-13, epsrel=1e-11)
-        val += part
-    return K * val
+    return EL2 * (_big_h(d, lam, s) + _big_h(d, lam, t) - _big_h(d, lam, t - s))
 
 
 def acvf_tfln1(params: TemperedParams, h: float, EL2: float = 1.0) -> float:
@@ -220,35 +228,25 @@ def spec_density_tfln2(params: TemperedParams, omega) -> float:
 
 
 def _acvf_tfln2_bessel(params: TemperedParams, h: float) -> float:
-    """Exact type II noise acvf for d > 0 via the 1-D Bessel reduction:
-    gamma2(h) = K int_{-1}^{1} (1-|r|) |h+r|^{d-1/2} K_{d-1/2}(lam|h+r|) dr.
-    The exponential decay is factored out so large lags keep full
-    relative accuracy."""
-    from scipy import integrate as _integrate
+    """K [H(h+1) - 2 H(h) + H(|h-1|)], or for lam (h-1) > 3 or h > 21, where
+    that loses more than 1e-10 to rounding, the same
+    K int_{-1}^{1} (1-|r|) |h+r|^mu K_mu(lam|h+r|) dr by quadrature with
+    the exponential decay factored out."""
     d, lam = params.d, params.lam
-    K = 1.0 / (_SQRT_PI * gamma_fn(d) * (2.0 * lam) ** (d - 0.5))
     h = abs(float(h))
+    if h - 1.0 <= min(3.0 / lam, 20.0):
+        return _big_h(d, lam, h + 1.0) - 2.0 * _big_h(d, lam, h) \
+            + _big_h(d, lam, h - 1.0)
+    from scipy import integrate as _integrate
+    K = 1.0 / (_SQRT_PI * gamma_fn(d) * (2.0 * lam) ** (d - 0.5))
     nu = d - 0.5
-    if h >= 1.0:
-        # integrand = (1-|r|) (h+r)^nu kve(nu, lam(h+r)) e^{-lam(h+r)}
-        def scaled(r):
-            x = h + r
-            return (1.0 - abs(r)) * x ** nu * bessel_k_scaled(nu, lam * x) \
-                * np.exp(-lam * r)
-        val, _ = _integrate.quad(scaled, -1.0, 1.0, limit=200,
-                                 epsabs=0.0, epsrel=1e-11)
-        return K * np.exp(-lam * h) * val
-
-    def plain(r):
-        x = abs(h + r)
-        if x == 0.0:
-            return 0.0
-        return (1.0 - abs(r)) * float(_bessel_weight(d, lam, x))
-
-    pts = [p for p in (-h,) if -1.0 < p < 1.0]
-    val, _ = _integrate.quad(plain, -1.0, 1.0, points=pts or None, limit=400,
-                             epsabs=1e-13, epsrel=1e-11)
-    return K * val
+    # integrand = (1-|r|) (h+r)^nu kve(nu, lam(h+r)) e^{-lam(h+r)}
+    def scaled(r):
+        x = h + r
+        return (1.0 - abs(r)) * x ** nu * bessel_k_scaled(nu, lam * x) \
+            * np.exp(-lam * r)
+    val, _ = _integrate.quad(scaled, -1.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-11)
+    return K * np.exp(-lam * h) * val
 
 
 def _acvf_tfln2_fourier(params: TemperedParams, h: float) -> float:
@@ -274,10 +272,11 @@ def acvf_tfln2(params: TemperedParams, h: float, EL2: float = 1.0,
                method: str = "auto") -> float:
     """Exact autocovariance of the unit-lag type II noise.
 
-    method 'bessel' (d > 0 only) integrates the closed covariance kernel
-    and stays accurate at large lags; 'fourier' inverts the spectral
-    display and covers all d > -1/2; 'auto' picks bessel when admissible.
-    The two routes are independent and cross-checked in the test suite.
+    method 'bessel' (d > 0 only) takes K [H(h+1) - 2 H(h) + H(|h-1|)], H as
+    in cov_tflp2 (DLMF 10.29.4, 10.43.2), or integrates the kernel where that
+    difference cancels; 'fourier' inverts the spectral display and covers
+    all d > -1/2; 'auto' picks bessel when admissible.  The two routes are
+    independent and cross-checked in the test suite.
     """
     if method == "auto":
         method = "bessel" if params.d > 0 else "fourier"

@@ -7,14 +7,15 @@ rerun (re-execute a saved manifest).
 
 Each choice is written once, in a table: _COMMANDS (positional, its
 values, config keys, required keys, runner per command), _FIELDS (type
-and default per key), _CURVES (default range, columns and row values per
-analytic curve) and _SUITES (verify batteries).  build_parser reads
+and default per key), _CURVES (engine, default range, columns and row
+values per analytic curve) and _SUITES (verify batteries).  build_parser reads
 them, and _dispatch checks fresh runs and reruns against them.
 
 Reproducibility contract: every run writes a JSON manifest with the
 fully resolved configuration next to its output; `tflp rerun
 <manifest>` reproduces the outputs byte for byte.  Outputs carry no
-timestamps, floats are written as %.17g, JSON keys are sorted.
+timestamps, floats are written as %.17g, JSON keys are sorted.  A rerun
+whose manifest "engine" (0 when absent) is not the current one exits 2.
 
 Config precedence: flags > config file (--config, flat key=value with
 '#' comments, keys match the long flag names with '-' -> '_') >
@@ -93,9 +94,17 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _engine(command, config):
+    """Version of the numerical route behind a run's bytes; manifests record
+    it only when it is not 0, so those of unchanged routes keep their bytes."""
+    return _CURVES.get(config["curve"], (0,))[0] if command == "analytic" else 0
+
+
 def write_manifest(out_path, command, config):
+    engine = _engine(command, config)
     _write_json(out_path + ".manifest.json",
-                {"command": command, "config": config, "tool": "tflp"})
+                {"command": command, "config": config, "tool": "tflp",
+                 **({"engine": engine} if engine else {})})
 
 
 def load_config_file(path):
@@ -180,22 +189,22 @@ def run_simulate(cfg):
 
 # ---------------------------------------------------------------- analytic
 
-# curve -> (default --range, column names, units, row values after x);
-# analytics functions are looked up at call time
+# curve -> (engine, default --range, column names, units, row values after x);
+# analytics functions are looked up at call time.  Engine 1: closed-form H.
 _CURVES = {
-    "cov1": ("0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
+    "cov1": (0, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp1(p, t, t, el2)]),
-    "cov2": ("0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
+    "cov2": (1, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp2(p, t, t, el2)]),
-    "acvf1": ("0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf1": (0, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln1(p, h, el2)]),
-    "acvf2": ("0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf2": (1, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln2(p, h, el2)]),
-    "spec1": ("0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
+    "spec1": (0, "0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
               lambda p, w, el2: [el2 * analytics.spec_density_tfln1(p, w)]),
-    "spec2": ("0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
+    "spec2": (0, "0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
               lambda p, w, el2: [el2 * analytics.spec_density_tfln2(p, w)]),
-    "acvf2band": ("1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
+    "acvf2band": (1, "1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
                   lambda p, h, el2: [el2 * b for b in
                                      analytics.acvf_tfln2_asymptotic_band(p, h)]),
 }
@@ -207,7 +216,7 @@ def run_analytic(cfg):
         write_csv(cfg["out"], ["var_limit"], ["value^2"],
                   [[analytics.var_limit_tflp1(params, cfg["el2"])]])
     else:
-        default, names, units, values = _CURVES[cfg["curve"]]
+        _, default, names, units, values = _CURVES[cfg["curve"]]
         rows = [[x, *values(params, x, cfg["el2"])]
                 for x in _parse_range(cfg["range"] or default)]
         write_csv(cfg["out"], names, units, rows)
@@ -400,9 +409,9 @@ def _parses_to(key, value):
         return False
 
 
-def _dispatch(command, cfg):
-    """Validate a configuration, fresh or from a manifest, and run it.
-    Extra keys (the retired "budget") are kept so reruns stay byte-identical."""
+def _dispatch(command, cfg, engine=None):
+    """Validate a configuration, fresh or from a manifest with its engine, and
+    run it.  Extra keys (the retired "budget") are kept for byte-identical reruns."""
     if not (isinstance(command, str) and command in _COMMANDS):
         raise ParameterError(f"unknown command {command!r}")
     positional, allowed, keys, required, runner = _COMMANDS[command]
@@ -419,6 +428,9 @@ def _dispatch(command, cfg):
     missing = [_flag(k) for k in required if cfg[k] is None]
     if missing:
         raise ParameterError(f"{command}: {', '.join(missing)} required")
+    if engine not in (None, _engine(command, cfg)):
+        raise ParameterError(f"manifest engine {engine!r} is not the current engine "
+                             f"{_engine(command, cfg)}; run the command afresh")
     return runner(cfg) or EXIT_OK  # only run_verify returns a code
 
 
@@ -430,7 +442,8 @@ def main(argv=None) -> int:
                 manifest = json.load(fh)
             if not isinstance(manifest, dict):
                 raise ParameterError(f"{args.manifest}: manifest must be a JSON object")
-            return _dispatch(manifest.get("command"), manifest.get("config"))
+            return _dispatch(manifest.get("command"), manifest.get("config"),
+                             manifest.get("engine", 0))
         return _dispatch(args.command, _resolve(args))
     except (ToleranceError, ArithmeticError) as exc:
         print(f"tolerance error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
-"""Gamma, incomplete gamma and modified Bessel (second kind) functions.
+"""Gamma, incomplete gamma, modified Bessel (second kind) and modified
+Struve functions.
 
 lower_gamma(s, x) = int_0^x u^{s-1} e^{-u} du (s > 0) and
 upper_gamma(s, x) = int_x^inf u^{s-1} e^{-u} du, with Gamma(0, x) = E_1(x)
@@ -12,7 +13,8 @@ from scipy import special as _sp
 
 from .errors import ParameterError
 
-__all__ = ["gamma_fn", "lower_gamma", "upper_gamma", "bessel_k", "bessel_k_scaled"]
+__all__ = ["gamma_fn", "lower_gamma", "upper_gamma", "bessel_k", "bessel_k_scaled",
+           "struve_l"]
 
 # Gamma overflows in double precision slightly above this argument.
 _GAMMA_OVERFLOW = 171.62
@@ -60,6 +62,12 @@ def bessel_k(nu, z):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def struve_l(nu, z):
+    """Modified Struve function L_nu(z), z >= 0 (DLMF 11.2.2)."""
+    out = _sp.modstruve(nu, np.asarray(z, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_k_scaled(nu, z):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import kv
 
 import tflp
 from tflp.processes import TemperedParams, kernel_g1, kernel_g2
@@ -30,6 +31,57 @@ def _acvf1_quadrature(p, h):
     for a, b in zip(pts, pts[1:]):
         total += quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
     return total / gamma_fn(1.0 + p.d) ** 2
+
+
+def _cov1_variance_quadrature(p, t):
+    """Var S^I(t) = int g1(t, x)^2 dx / Gamma(1+d)^2 (EL2 = 1)."""
+    f = lambda x: kernel_g1(p, t, x) ** 2
+    total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+                for a, b in ((-60.0 / p.lam, -1.0 / p.lam), (-1.0 / p.lam, 0.0),
+                             (0.0, t)))
+    return total / gamma_fn(1.0 + p.d) ** 2
+
+
+def _bessel_kernel_quadrature(p, w, a, b, kinks=()):
+    """K int_a^b w(r) |r|^mu K_mu(lam |r|) dr, mu = d - 1/2, with
+    K = 1/(sqrt(pi) Gamma(d) (2 lam)^mu): the one-dimensional form of the
+    TFLP II covariance.  The piecewise linear weight w has its kinks as
+    breakpoints; for d < 1/2 the |r|^{2d-1} behaviour at r = 0 goes to
+    quad's algebraic weight, so the remaining integrand is bounded."""
+    d, lam = p.d, p.lam
+    mu = d - 0.5
+    K = 1.0 / (np.sqrt(np.pi) * gamma_fn(d) * (2.0 * lam) ** mu)
+
+    def f(r, power):  # integrand divided by |r|^power
+        x = abs(r)
+        if x == 0.0:  # only reached with power = 2 mu < 0
+            return w(r) * gamma_fn(-mu) * 2.0 ** (-mu - 1.0) * lam ** mu
+        return w(r) * x ** (mu - power) * kv(mu, lam * x)
+
+    pts = sorted({a, b, 0.0, -1.0 / lam, 1.0 / lam, *kinks})
+    pts = [x for x in pts if a <= x <= b]
+    total = 0.0
+    for lo, hi in zip(pts, pts[1:]):
+        if mu < 0 and 0.0 in (lo, hi):
+            alg = (2.0 * mu, 0.0) if lo == 0.0 else (0.0, 2.0 * mu)
+            total += quad(f, lo, hi, args=(2.0 * mu,), weight="alg", wvar=alg,
+                          epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        else:
+            total += quad(f, lo, hi, args=(0.0,), epsabs=0.0, epsrel=1e-13,
+                          limit=200)[0]
+    return K * total
+
+
+def _cov2_quadrature(p, s, t):
+    """Oracle: the overlap weight m(r) = min(t, s+r) - max(0, r) on [-s, t]."""
+    return _bessel_kernel_quadrature(
+        p, lambda r: min(t, s + r) - max(0.0, r), -s, t, (t - s,))
+
+
+def _acvf2_quadrature(p, h):
+    """Oracle: gamma2(h) = K int (1 - |x-h|) |x|^mu K_mu(lam |x|) over [h-1, h+1]."""
+    return _bessel_kernel_quadrature(
+        p, lambda x: 1.0 - abs(x - h), h - 1.0, h + 1.0, (h,))
 
 
 def test_variance_scale_consistency():
@@ -95,6 +147,50 @@ def test_acvf_tfln1_against_kernel_quadrature():
             assert abs(acvf_tfln1(p, h) - ref) < 1e-9 * max(1.0, abs(ref)), (d, h)
 
 
+@pytest.mark.parametrize("d, tol", [
+    (0.5, 1e-12), (1.5, 1e-12), (2.5, 1e-12),
+    (0.5 - 1e-3, 1e-11), (0.5 + 1e-3, 1e-11),
+    # the reflection series divides by sin(pi nu) ~ 3e-7 here, and the
+    # acvf's second difference of G amplifies the rounding further
+    (0.5 - 1e-7, 1e-7), (0.5 + 1e-7, 1e-7),
+])
+def test_half_integer_d_against_kernel_quadrature(d, tol):
+    # nu = d + 1/2 an integer: the reflection series of K_nu divides by
+    # sin(pi nu) = 0, so G takes the integer-order series (DLMF 10.31.1)
+    for lam in (0.2, 1.0):
+        p = TemperedParams(d, lam)
+        for t in (0.1, 0.3, 0.5 / lam, 2.0 / lam):
+            ref = _cov1_variance_quadrature(p, t)
+            assert abs(cov_tflp1(p, t, t) / ref - 1.0) < tol, (lam, t)
+        for h in (0.0, 2.0):
+            ref = _acvf1_quadrature(p, h)
+            assert abs(acvf_tfln1(p, h) / ref - 1.0) < tol, (lam, h)
+
+
+def test_cov_tflp2_against_kernel_quadrature():
+    zs = (1e-4, 1e-2, 0.5, 3.0, 20.0, 60.0)
+    for d in (0.05, 0.2, 0.5, 1.0, 1.5, 2.2):
+        for lam in (0.01, 0.3, 3.0):
+            p = TemperedParams(d, lam)
+            for i, a in enumerate(zs):
+                for b in zs[i:]:
+                    s, t = a / lam, b / lam
+                    ref = _cov2_quadrature(p, s, t)
+                    assert abs(cov_tflp2(p, s, t) / ref - 1.0) < 1e-9, (d, lam, a, b)
+                    assert cov_tflp2(p, t, s) == cov_tflp2(p, s, t)
+
+
+def test_acvf_tfln2_against_kernel_quadrature_across_route_switch():
+    # closed form for lam (h-1) <= 3 and h <= 21, quadrature beyond
+    for d in (0.05, 0.2, 0.5, 1.0, 2.2):
+        for lam in (0.01, 0.3, 1.0, 3.0):
+            p = TemperedParams(d, lam)
+            for h in (0.0, 0.3, 1.0, 1.5, 20.9, 21.1,
+                      1.0 + 2.9 / lam, 1.0 + 3.1 / lam, 1.0 + 10.0 / lam):
+                ref = _acvf2_quadrature(p, h)
+                assert abs(acvf_tfln2(p, h) / ref - 1.0) < 1e-9, (d, lam, h)
+
+
 def test_acvf_tfln1_d_zero_lag_zero_closed_form():
     # d = 0, lam = 1: the increment kernel is e^{-(u)} on one unit cell,
     # gamma(0) = int_0^1 (1-e^{-u})^2 du + e^{-2} int_0^inf (1-e^{-1})^2 e^{-2v} dv...
@@ -130,19 +226,34 @@ def test_acvf_tfln2_asymptotic_band_sandwich():
         assert hi / lo < 10.0
 
 
+def _cosine_inversion(spec, g, h):
+    """4 int_0^inf cos(w h) spec(w) dw for spec(w) = (1 - cos w) g(w):
+    plain quadrature on [0, pi], then cos(w h) (1 - cos w) split into three
+    cosines, each by quad's Fourier-integral route (weight="cos")."""
+    head = quad(lambda w: np.cos(w * h) * spec(w), 0.0, np.pi)[0]
+    tail = 0.0
+    for c, omega in ((1.0, h), (-0.5, h + 1.0), (-0.5, abs(h - 1.0))):
+        weight = {"weight": "cos", "wvar": omega} if omega else {}
+        tail += c * quad(g, np.pi, np.inf, **weight)[0]
+    return 4.0 * (head + tail)
+
+
 def test_spectral_density_inverts_to_acvf():
     # gamma(h) = 4 int_0^inf cos(omega h) h_spec(omega) d omega
-    p = TemperedParams(0.2, 1.0)
-    for h in (0.0, 2.0):
-        ref = 4.0 * quad(lambda w: np.cos(w * h) * spec_density_tfln1(p, w),
-                         0.0, np.inf, limit=400)[0]
-        assert abs(acvf_tfln1(p, h) - ref) < 1e-6
-
-    p2 = TemperedParams(0.3, 1.0)
-    for h in (0.0, 2.0):
-        ref = 4.0 * quad(lambda w: np.cos(w * h) * spec_density_tfln2(p2, w),
-                         0.0, np.inf, limit=400)[0]
-        assert abs(acvf_tfln2(p2, h) - ref) < 1e-6
+    p1, p2 = TemperedParams(0.2, 1.0), TemperedParams(0.3, 1.0)
+    cases = (
+        (p1, spec_density_tfln1, acvf_tfln1,
+         lambda w: 1.0 / (2.0 * np.pi * (p1.lam ** 2 + w ** 2) ** (p1.d + 1.0))),
+        (p2, spec_density_tfln2, acvf_tfln2,
+         lambda w: 1.0 / (2.0 * np.pi * w ** 2 * (p2.lam ** 2 + w ** 2) ** p2.d)),
+    )
+    w = np.linspace(np.pi, 50.0, 101)
+    for p, spec, acvf, g in cases:
+        np.testing.assert_allclose(spec(p, w), (1.0 - np.cos(w)) * g(w),
+                                   rtol=1e-12, atol=1e-18)
+        for h in (0.0, 2.0):
+            ref = _cosine_inversion(lambda w: spec(p, w), g, h)
+            assert abs(acvf(p, h) - ref) < 1e-8
 
 
 def test_spec_density_tfln2_zero_frequency_limit():
@@ -208,12 +319,20 @@ def test_structure_function_deterministic_path():
         structure_exponent(np.zeros((2, 50)), 0.01, [1, 2])
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # only the quadrature routes need scipy.integrate; they import it
-    # on first call, which keeps it off the cold start of every command
+    # on first call, which keeps it off the cold start of every command,
+    # and the closed-form TFLP II covariance does not call them
     src = os.path.dirname(os.path.dirname(tflp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, tflp; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+    code = ("import sys; from tflp.cli import main; "
+            "code = main(['analytic', 'cov2', '--d', '0.3', '--lambda', '0.5', "
+            "'--out', sys.argv[1]]); print(code, 'scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cov2.csv")],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120)
+    assert out.stdout.split() == ["0", "False"]

@@ -157,6 +157,59 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
+    # cov2 has a new numerical route (engine 1); its manifests say so
+    out = tmp_path / "c.csv"
+    manifest = tmp_path / "c.csv.manifest.json"
+    assert run(["analytic", "cov2", "--d", "0.3", "--lambda", "0.5",
+                "--range", "0.25:2:0.25", "--out", out]) == 0
+    first = out.read_bytes()
+    payload = json.loads(manifest.read_text())
+    assert payload["engine"] == 1
+    out.unlink()
+    assert run(["rerun", manifest]) == 0
+    assert out.read_bytes() == first
+    # a manifest without "engine" was written by engine 0: it must fail
+    # loudly rather than rerun to other bytes
+    out.unlink()
+    del payload["engine"]
+    manifest.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert run(["rerun", manifest]) == 2
+    err = capsys.readouterr().err
+    assert "engine" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_unchanged_curve_manifest_has_no_engine_key(tmp_path):
+    out = tmp_path / "a.csv"
+    manifest = tmp_path / "a.csv.manifest.json"
+    assert run(["analytic", "cov1", "--d", "0.3", "--lambda", "0.5",
+                "--range", "0.25:2:0.25", "--out", out]) == 0
+    first, text = out.read_bytes(), manifest.read_text()
+    assert "engine" not in json.loads(text)
+    out.unlink()
+    assert run(["rerun", manifest]) == 0
+    assert out.read_bytes() == first and manifest.read_text() == text
+
+
+def test_half_integer_d_cov1_runs(tmp_path):
+    # d = 1.5 hit a pole of the reflection series and exited 2
+    out = tmp_path / "h.csv"
+    assert run(["analytic", "cov1", "--d", "1.5", "--lambda", "1",
+                "--range", "0.1:1:0.1", "--out", out]) == 0
+    names, data = read_csv(out)
+    assert np.all(np.diff(data[:, 1]) > 0)
+
+
+def test_acvf2_short_lags_emit_no_integration_warning(tmp_path):
+    out = tmp_path / "g.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["analytic", "acvf2", "--d", "0.2", "--lambda", "1",
+                    "--range", "0:3:0.37", "--out", out]) == 0
+
+
 def test_rerun_ignores_retired_verify_budget_key(tmp_path):
     # verify manifests once carried an unused "budget" key; runners read
     # only the keys they know, so such manifests still rerun

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from tflp.errors import ParameterError
-from tflp.special import bessel_k, bessel_k_scaled, gamma_fn, upper_gamma
+from tflp.special import (bessel_k, bessel_k_scaled, gamma_fn, struve_l,
+                          upper_gamma)
 
 
 def test_gamma_basic_values():
@@ -73,3 +74,16 @@ def test_bessel_k_scaled_consistency():
     # the scaled form stays finite far into the exponential tail
     assert np.isfinite(bessel_k_scaled(0.7, 800.0))
     assert bessel_k(0.7, 800.0) == 0.0 or bessel_k(0.7, 800.0) < 1e-300
+
+
+def test_struve_l_against_integral_representation():
+    # DLMF 11.5.4: L_nu(z) = 2 (z/2)^nu / (sqrt(pi) Gamma(nu + 1/2))
+    #   int_0^{pi/2} sinh(z cos t) sin(t)^{2 nu} dt,  nu > -1/2
+    for nu in (-0.45, 0.0, 0.7, 2.3):
+        for z in (1e-3, 0.5, 4.0, 30.0):
+            q, _ = quad(lambda t: np.sinh(z * np.cos(t)) * np.sin(t) ** (2.0 * nu),
+                        0.0, np.pi / 2.0, epsabs=0.0, epsrel=1e-13, limit=200)
+            ref = 2.0 * (z / 2.0) ** nu / (math.sqrt(math.pi) * gamma_fn(nu + 0.5)) * q
+            assert abs(struve_l(nu, z) / ref - 1.0) < 1e-12, (nu, z)
+    np.testing.assert_array_equal(struve_l(0.7, np.array([0.5, 4.0])),
+                                  [struve_l(0.7, 0.5), struve_l(0.7, 4.0)])
