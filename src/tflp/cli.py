@@ -96,8 +96,12 @@ def _write_json(path, payload):
 
 def _engine(command, config):
     """Version of the numerical route behind a run's bytes; manifests record
-    it only when it is not 0, so those of unchanged routes keep their bytes."""
-    return _CURVES.get(config["curve"], (0,))[0] if command == "analytic" else 0
+    it only when it is not 0, so those of unchanged routes keep their bytes.
+    Engine 1: analytic curves as in _CURVES; simulate and verify runs whose
+    tempered-stable driver has alpha < 1 (cells split into sub-increments)."""
+    if command == "analytic":
+        return _CURVES.get(config["curve"], (0,))[0]
+    return int(config.get("driver") == "tstable" and config["alpha"] < 1.0)
 
 
 def write_manifest(out_path, command, config):

@@ -6,9 +6,17 @@ that condition; it exists only for cross-checks against the Gaussian
 theory).  Only increments over grid cells are ever consumed, so the
 samplers produce i.i.d. increment arrays directly.
 
-Tempered stable sampling: for alpha < 1 increments are drawn exactly by
-acceptance-rejection from a positive stable proposal with exponential
-tilting (difference of two tilted subordinators, centered).  For
+Tempered stable sampling: for alpha < 1 an increment is the difference
+of two tempered stable subordinator increments, each drawn exactly by
+acceptance-rejection from a positive stable proposal of scale sigma,
+accepted with probability exp(-lambda X).  One such step over dt accepts
+with probability exp(-(lambda sigma)^alpha), sigma^alpha =
+scale dt Gamma(1-alpha)/alpha, which is hopeless once (lambda
+sigma)^alpha is large.  So each cell increment is the sum of m =
+max(1, ceil((lambda sigma)^alpha)) i.i.d. increments over dt/m (still
+exact: the subordinator is a Levy process), with scale sigma m^(-1/alpha)
+and acceptance exp(-(lambda sigma)^alpha / m) >= 1/e; a cell costs at
+most e m proposals per subordinator (Hofert, ACM TOMACS 22, 2011).  For
 alpha >= 1 the tilting ratio is unbounded and exact rejection is not
 available; increments are generated by compound-Poisson sampling of the
 jumps above an adaptive cutoff plus a Gaussian correction matching the
@@ -18,6 +26,7 @@ approximation is exact by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,29 +237,36 @@ def _positive_stable(rng, alpha, n):
             * np.sin(u) ** (-1.0 / alpha))
 
 
-def _tilted_subordinator(rng, alpha, lam, c, dt, n):
-    """Tempered stable subordinator increments over dt, Levy density c x^{-1-alpha} e^{-lam x}."""
-    sigma = (c * dt * _sp.gamma(1.0 - alpha) / alpha) ** (1.0 / alpha)
+def _rejection(rng, n, propose, accept_prob):
+    """n draws of propose(k) kept with probability accept_prob(candidates);
+    each round proposes for all missing draws, then draws one uniform each."""
     out = np.empty(n)
     todo = np.arange(n)
     while todo.size:
-        cand = sigma * _positive_stable(rng, alpha, todo.size)
-        acc = rng.random(todo.size) < np.exp(-lam * cand)
+        cand = propose(todo.size)
+        acc = rng.random(todo.size) < accept_prob(cand)
         out[todo[acc]] = cand[acc]
         todo = todo[~acc]
+    return out
+
+
+def _tilted_subordinator(rng, alpha, lam, c, dt, n):
+    """Tempered stable subordinator increments over dt, Levy density c x^{-1-alpha} e^{-lam x},
+    each the sum of m sub-increments accepted with probability at least 1/e."""
+    sigma_alpha = c * dt * _sp.gamma(1.0 - alpha) / alpha
+    m = max(1, math.ceil(lam ** alpha * sigma_alpha))
+    sigma = (sigma_alpha / m) ** (1.0 / alpha)
+    out = np.zeros(n)
+    for _ in range(m):
+        out += _rejection(rng, n, lambda k: sigma * _positive_stable(rng, alpha, k),
+                          lambda x: np.exp(-lam * x))
     return out
 
 
 def _truncated_jump_sizes(rng, alpha, lam, eps, n):
     """Jump sizes with density prop. to x^{-1-alpha} e^{-lam x} on (eps, inf)."""
-    out = np.empty(n)
-    todo = np.arange(n)
-    while todo.size:
-        cand = eps * rng.random(todo.size) ** (-1.0 / alpha)
-        acc = rng.random(todo.size) < np.exp(-lam * (cand - eps))
-        out[todo[acc]] = cand[acc]
-        todo = todo[~acc]
-    return out
+    return _rejection(rng, n, lambda k: eps * rng.random(k) ** (-1.0 / alpha),
+                      lambda x: np.exp(-lam * (x - eps)))
 
 
 def _tempered_stable_increments(spec, dt, n, rng):

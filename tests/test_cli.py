@@ -1,12 +1,16 @@
 """Command line front end: pipelines, manifests, config precedence, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+import tflp
 from tflp import processes
 from tflp.cli import main, read_csv
 from tflp.driver import (CompoundPoisson, TemperedStable, UniformSymmetric,
@@ -158,39 +162,62 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
-    # cov2 has a new numerical route (engine 1); its manifests say so
     out = tmp_path / "c.csv"
     manifest = tmp_path / "c.csv.manifest.json"
-    assert run(["analytic", "cov2", "--d", "0.3", "--lambda", "0.5",
-                "--range", "0.25:2:0.25", "--out", out]) == 0
-    first = out.read_bytes()
-    payload = json.loads(manifest.read_text())
-    assert payload["engine"] == 1
-    out.unlink()
-    assert run(["rerun", manifest]) == 0
-    assert out.read_bytes() == first
-    # a manifest without "engine" was written by engine 0: it must fail
-    # loudly rather than rerun to other bytes
-    out.unlink()
-    del payload["engine"]
-    manifest.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    capsys.readouterr()
-    assert run(["rerun", manifest]) == 2
-    err = capsys.readouterr().err
-    assert "engine" in err and len(err.splitlines()) == 1
-    assert not out.exists()
+    for argv in (
+            # cov2 has a new numerical route (engine 1): the closed-form covariance
+            ["analytic", "cov2", "--d", "0.3", "--lambda", "0.5",
+             "--range", "0.25:2:0.25"],
+            # so do tempered-stable drivers with alpha < 1, whose cells are
+            # split into sub-increments
+            ["simulate", "tflp1", "--d", "0.3", "--lambda", "0.5", "--tmax", "4",
+             "--n", "8", "--driver", "tstable", "--alpha", "0.7",
+             "--lambda-noise", "1"]):
+        assert run([*argv, "--out", out]) == 0
+        first = out.read_bytes()
+        payload = json.loads(manifest.read_text())
+        assert payload["engine"] == 1
+        out.unlink()
+        assert run(["rerun", manifest]) == 0
+        assert out.read_bytes() == first
+        # a manifest without "engine" was written by engine 0: it must fail
+        # loudly rather than rerun to other bytes
+        out.unlink()
+        del payload["engine"]
+        manifest.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        capsys.readouterr()
+        assert run(["rerun", manifest]) == 2
+        err = capsys.readouterr().err
+        assert "engine" in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 def test_unchanged_curve_manifest_has_no_engine_key(tmp_path):
     out = tmp_path / "a.csv"
     manifest = tmp_path / "a.csv.manifest.json"
-    assert run(["analytic", "cov1", "--d", "0.3", "--lambda", "0.5",
-                "--range", "0.25:2:0.25", "--out", out]) == 0
-    first, text = out.read_bytes(), manifest.read_text()
-    assert "engine" not in json.loads(text)
-    out.unlink()
-    assert run(["rerun", manifest]) == 0
-    assert out.read_bytes() == first and manifest.read_text() == text
+    for argv in (["analytic", "cov1", "--d", "0.3", "--lambda", "0.5",
+                  "--range", "0.25:2:0.25"],
+                 # alpha >= 1 keeps the compound Poisson plus Gaussian route
+                 ["simulate", "tflp1", "--d", "0.3", "--lambda", "0.5", "--tmax", "4",
+                  "--n", "8", "--driver", "tstable", "--alpha", "1.4",
+                  "--lambda-noise", "1"]):
+        assert run([*argv, "--out", out]) == 0
+        first, text = out.read_bytes(), manifest.read_text()
+        assert "engine" not in json.loads(text)
+        out.unlink()
+        assert run(["rerun", manifest]) == 0
+        assert out.read_bytes() == first and manifest.read_text() == text
+
+
+def test_heavily_tempered_simulate_exits_0(tmp_path):
+    # with one rejection step per cell this ran for more than a minute
+    src = os.path.dirname(os.path.dirname(tflp.__file__))
+    argv = ["simulate", "tflp1", "--d", "0.3", "--lambda", "0.5", "--tmax", "10",
+            "--n", "10", "--refine", "1", "--driver", "tstable", "--alpha", "0.7",
+            "--lambda-noise", "10", "--out", str(tmp_path / "p.csv")]
+    done = subprocess.run([sys.executable, "-m", "tflp.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0
 
 
 def test_half_integer_d_cov1_runs(tmp_path):

@@ -1,14 +1,21 @@
 """Driving noise: moments, characteristic exponents, samplers, config."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import special as sp
 
+import tflp
 from tflp.driver import (
     CompoundPoisson, GaussianJumps, GaussianValidation, TemperedStable,
-    TwoPoint, UniformSymmetric, char_exponent, sample_increments,
-    second_moment, spec_from_config,
+    TwoPoint, UniformSymmetric, _positive_stable, _rng_for, _tilted_subordinator,
+    char_exponent, sample_increments, second_moment, spec_from_config,
 )
 from tflp.grids import SampleGrid
+from tflp.special import upper_gamma
 
 
 def test_jump_law_second_moments():
@@ -59,6 +66,86 @@ def test_sampled_increment_moments():
         se = np.std(dL ** 2) / np.sqrt(len(dL))
         assert abs(dL.mean()) < 4.0 * np.sqrt(var_th / len(dL)), spec
         assert abs(dL.var() - var_th) < 4.0 * se, spec
+
+
+@pytest.mark.parametrize("lam, m", [(1.0, 5), (10.0, 22)])
+def test_split_cell_increments_match_closed_forms(lam, m):
+    # over dt = 1 a cell is the sum of m = ceil((lam sigma)^alpha) sub-increments
+    a, c, dt, n = 0.7, 1.0, 1.0, 100_000
+    assert int(np.ceil(lam ** a * c * dt * sp.gamma(1.0 - a) / a)) == m
+
+    def z(values, expected):
+        return (values.mean() - expected) / (values.std() / np.sqrt(n))
+
+    # subordinator cumulants kappa_k = c dt Gamma(k - alpha) lam^(alpha - k)
+    s = _tilted_subordinator(_rng_for(21), a, lam, c, dt, n)
+    mean = c * dt * sp.gamma(1.0 - a) * lam ** (a - 1.0)
+    var = c * dt * sp.gamma(2.0 - a) * lam ** (a - 2.0)
+    assert abs(z(s, mean)) < 4.0
+    assert abs(z((s - s.mean()) ** 2, var)) < 4.0
+    spec = TemperedStable(a, lam, c)
+    x = sample_increments(spec, SampleGrid(0.0, n * dt, n), seed=22)
+    for theta in (0.3, 1.0, 3.0):
+        cf = np.exp(dt * char_exponent(spec, theta).real)
+        assert abs(z(np.cos(theta * x), cf)) < 4.0, theta
+    # fourth cumulant E x^4 - 3 (E x^2)^2 of the centered increment; its
+    # standard error from the influence function x^4 - 6 E[x^2] x^2
+    m2 = np.mean(x ** 2)
+    k4 = 2.0 * c * dt * sp.gamma(4.0 - a) * lam ** (a - 4.0)
+    assert abs(z(x ** 4 - 6.0 * m2 * x ** 2, k4 - 3.0 * m2 ** 2)) < 4.0
+
+
+def test_heavily_tempered_sampling_returns():
+    # one rejection step per cell needed about 2e9 proposals per increment here
+    src = os.path.dirname(os.path.dirname(tflp.__file__))
+    code = ("from tflp.driver import TemperedStable, sample_increments; "
+            "from tflp.grids import SampleGrid; "
+            "print(sample_increments(TemperedStable(0.7, 10.0), "
+            "SampleGrid(0.0, 64.0, 64), 3).size)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "64"
+
+
+def test_rejection_routes_keep_their_draw_order():
+    # the recipes as written before the rejection loop was shared: the
+    # alpha >= 1 route, and alpha < 1 where each cell is one step (m = 1)
+    def rejection(rng, n, propose, accept_prob):
+        out = np.empty(n)
+        todo = np.arange(n)
+        while todo.size:
+            cand = propose(todo.size)
+            acc = rng.random(todo.size) < accept_prob(cand)
+            out[todo[acc]] = cand[acc]
+            todo = todo[~acc]
+        return out
+
+    grid = SampleGrid(0.0, 20.0, 2000)
+    dt, n = grid.dx, grid.n_cells
+    for a in (0.7, 1.0, 1.4):
+        lam, c = 1.3, 0.8
+        rng = _rng_for(5, 2)
+        if a < 1.0:
+            sigma = (c * dt * sp.gamma(1.0 - a) / a) ** (1.0 / a)
+            assert (lam * sigma) ** a <= 1.0
+            sub = [rejection(rng, n, lambda k: sigma * _positive_stable(rng, a, k),
+                             lambda x: np.exp(-lam * x)) for _ in range(2)]
+            expected = sub[0] - sub[1]
+        else:
+            eps = min((2.0 * c * dt / (a * 10.0)) ** (1.0 / a), 1.0 / lam)
+            rate = 2.0 * c * lam ** a * float(upper_gamma(-a, lam * eps))
+            counts = rng.poisson(rate * dt, size=n)
+            total = int(counts.sum())
+            sizes = rejection(rng, total, lambda k: eps * rng.random(k) ** (-1.0 / a),
+                              lambda x: np.exp(-lam * (x - eps)))
+            signs = 2.0 * rng.integers(0, 2, size=total) - 1.0
+            expected = np.zeros(n)
+            np.add.at(expected, np.repeat(np.arange(n), counts), signs * sizes)
+            small_var = 2.0 * c * lam ** (a - 2.0) * float(
+                sp.gamma(2.0 - a) * sp.gammainc(2.0 - a, lam * eps))
+            expected += rng.normal(0.0, np.sqrt(small_var * dt), size=n)
+        got = sample_increments(TemperedStable(a, lam, c), grid, seed=5, stream=2)
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_determinism_and_stream_independence():
