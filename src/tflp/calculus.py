@@ -56,14 +56,18 @@ def _reversed(f):
     return GridFunction(f.grid, f.values[::-1].copy())
 
 
-def fft_convolver(kernel, n):
-    """Full linear convolution x -> x * kernel of inputs of length n, from
-    a kernel spectrum taken once.  FFT length and product order are those
-    of scipy.signal.fftconvolve(x, kernel): the two agree bit for bit."""
-    m = n + len(kernel) - 1
-    nfft = next_fast_len(m, real=True)
+def fft_convolver(kernel, n, size=None):
+    """Linear convolution x -> x * kernel of inputs of length n, from a
+    kernel spectrum taken once; returns its first size samples.  The
+    default size is the full n + len(kernel) - 1, with the FFT length and
+    product order of scipy.signal.fftconvolve(x, kernel): the two agree
+    bit for bit.  A smaller size takes a transform of next_fast_len(size),
+    whose circular wrap-around spoils only the samples below
+    n + len(kernel) - 1 - size."""
+    size = n + len(kernel) - 1 if size is None else size
+    nfft = next_fast_len(size, real=True)
     spectrum = rfft(kernel, nfft)
-    return lambda x: irfft(rfft(x, nfft) * spectrum, nfft)[:m]
+    return lambda x: irfft(rfft(x, nfft) * spectrum, nfft)[:size]
 
 
 def _correlate(weights, values, n):
@@ -105,6 +109,14 @@ def frac_integral_plus(f: GridFunction, kappa: float, lam: float) -> GridFunctio
     return GridFunction(f.grid, g.values[::-1].copy())
 
 
+def _tail_masses(kappa, lam, x):
+    """lam^kappa Gamma(-kappa, x) and lam^(kappa-1) Gamma(1-kappa, x) from one
+    Gamma(1-kappa, x): the first by the recurrence, in the operations of
+    upper_gamma(-kappa, x), so both equal upper_gamma's values bit for bit."""
+    G = upper_gamma(1.0 - kappa, x)
+    return lam ** kappa * ((G - x ** -kappa * np.exp(-x)) / -kappa), lam ** (kappa - 1.0) * G
+
+
 def frac_derivative_minus(f: GridFunction, kappa: float, lam: float) -> GridFunction:
     """Negative tempered fractional derivative (Marchaud form), 0 < kappa < 1."""
     if not 0.0 < kappa < 1.0:
@@ -118,8 +130,7 @@ def frac_derivative_minus(f: GridFunction, kappa: float, lam: float) -> GridFunc
     edges = lam * dx * np.arange(n + 2)
     # tail masses T_p = int_{p dx}^inf u^{-kappa-1} e^{-lam u} du and the
     # u-weighted analog; cell moments follow by differencing
-    T0 = lam ** kappa * upper_gamma(-kappa, edges[1:])          # p = 1..n+1
-    T1 = lam ** (kappa - 1.0) * upper_gamma(1.0 - kappa, edges[1:])
+    T0, T1 = _tail_masses(kappa, lam, edges[1:])                # p = 1..n+1
     N0 = -np.diff(T0)                                           # cells p = 1..n
     N1 = -np.diff(T1)
     up = dx * np.arange(1, n + 1)

@@ -34,12 +34,12 @@ import sys
 
 import numpy as np
 
-from . import analytics, processes
+from . import analytics
 from .calculus import (fourier_multiplier, frac_derivative_minus,
                        frac_integral_minus)
 from .driver import (DRIVER_DEFAULTS, sample_increments, second_moment,
                      spec_from_config)
-from .errors import ParameterError, ToleranceError
+from .errors import ParameterError, ToleranceError, check_budget
 from .grids import GridFunction, SampleGrid
 from .integration import ElementaryFunction, transform_integrand
 from .processes import (TemperedParams, _unit_lag_noise, kernel_g1, kernel_g2,
@@ -97,11 +97,15 @@ def _write_json(path, payload):
 def _engine(command, config):
     """Version of the numerical route behind a run's bytes; manifests record
     it only when it is not 0, so those of unchanged routes keep their bytes.
-    Engine 1: analytic curves as in _CURVES; simulate and verify runs whose
-    tempered-stable driver has alpha < 1 (cells split into sub-increments)."""
+    analytic: per curve, as in _CURVES.  Otherwise the sum of two steps:
+    1 for every simulate run (the convolution reads only the lags it needs,
+    by a window-sized FFT or by direct sums), and 1 for simulate and verify
+    runs whose tempered-stable driver has alpha < 1 (cells split into
+    sub-increments).  So simulate is 1, or 2 with such a driver; verify 0 or 1."""
     if command == "analytic":
         return _CURVES.get(config["curve"], (0,))[0]
-    return int(config.get("driver") == "tstable" and config["alpha"] < 1.0)
+    return (int(command == "simulate")
+            + int(config.get("driver") == "tstable" and config["alpha"] < 1.0))
 
 
 def write_manifest(out_path, command, config):
@@ -168,9 +172,7 @@ def _parse_range(spec):
     if step <= 0 or stop <= start:
         raise ParameterError(f"empty range {spec!r}")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    if n > processes._MAX_CELLS:
-        raise ToleranceError(f"range {spec!r} has {n} points, over the budget "
-                             f"of {processes._MAX_CELLS}")
+    check_budget(n, f"range {spec!r}: points")
     return start + step * np.arange(n)
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
+from .errors import check_budget
 from .grids import SampleGrid
 from .special import upper_gamma as _upper_gamma
 
@@ -213,6 +214,7 @@ def _rng_for(seed, stream=0):
 
 
 def _compound_poisson_increments(spec, dt, n, rng):
+    check_budget(spec.intensity * dt * n, "sample_increments: expected jumps")
     counts = rng.poisson(spec.intensity * dt, size=n)
     total = int(counts.sum())
     out = np.zeros(n)
@@ -255,6 +257,7 @@ def _tilted_subordinator(rng, alpha, lam, c, dt, n):
     each the sum of m sub-increments accepted with probability at least 1/e."""
     sigma_alpha = c * dt * _sp.gamma(1.0 - alpha) / alpha
     m = max(1, math.ceil(lam ** alpha * sigma_alpha))
+    check_budget(m * n, "sample_increments: sub-step draws")
     sigma = (sigma_alpha / m) ** (1.0 / alpha)
     out = np.zeros(n)
     for _ in range(m):
@@ -281,6 +284,7 @@ def _tempered_stable_increments(spec, dt, n, rng):
     eps = min(eps, 1.0 / lam)
     # rate of jumps with |x| > eps: 2c int_eps^inf x^{-1-a} e^{-lam x} dx
     big_rate = 2.0 * c * lam ** a * float(_upper_gamma(-a, lam * eps))
+    check_budget(big_rate * dt * n, "sample_increments: expected jumps")
     counts = rng.poisson(big_rate * dt, size=n)
     total = int(counts.sum())
     out = np.zeros(n)

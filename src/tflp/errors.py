@@ -11,9 +11,17 @@ exception families, not individual classes, to its exit codes:
     read or written) exit 2.
 
 Exit 1 is reserved for a verification battery that ran and failed.
+
+MAX_CELLS is the one size budget: the most fine cells a simulation, points
+a --range, or expected jumps or sub-step draws a driver sampler may use.
+check_budget raises ToleranceError over it, before anything is allocated
+or drawn.
 """
 
 __all__ = ["ParameterError", "ToleranceError"]
+
+# at 2**24 fine cells the FFT buffers of one simulation take about 1 GB
+MAX_CELLS = 2 ** 24
 
 
 class ParameterError(ValueError):
@@ -22,3 +30,9 @@ class ParameterError(ValueError):
 
 class ToleranceError(RuntimeError):
     """A numeric tolerance, truncation or size budget could not be met."""
+
+
+def check_budget(count, what):
+    """Raise ToleranceError when count, of what, exceeds MAX_CELLS."""
+    if not count <= MAX_CELLS:
+        raise ToleranceError(f"{what} ({count:.4g}) exceed the budget of {MAX_CELLS}")

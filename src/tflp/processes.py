@@ -12,13 +12,26 @@ with d > -1/2 and lam > 0 (0^0 = 0 everywhere).  d = 0 is permitted for
 type I (a Levy driven OU process) but rejected for type II.
 
 Paths are generated by Riemann-Stieltjes sums: Levy increments on a
-fine grid are FFT-convolved with exact cell averages of the kernel
-window, so the (t-x)^d curvature or singularity at x = t is integrated
-in closed form rather than sampled.  The kernel lives on
-(-infinity, t]; the domain is truncated on the left where the
-exponential taper makes the neglected mass provably small; more than
-_MAX_CELLS fine cells raise ToleranceError before any allocation.  The
-kernel spectrum is computed once per call and reused for every path.
+fine grid are convolved with exact cell averages of the kernel window,
+so the (t-x)^d curvature or singularity at x = t is integrated in
+closed form rather than sampled.  The kernel lives on (-infinity, t];
+the domain is truncated on the left where the exponential taper makes
+the neglected mass provably small; more than errors.MAX_CELLS fine
+cells raise ToleranceError before any allocation.
+
+With n_hist history and n_fine window cells (n = n_hist + n_fine), a
+path reads the convolution only at indices n_hist - 1 onwards: every
+refine-th one, or every one for the smooth regime.  Those lags are
+computed by one of two routes, chosen per call by cost:
+  * direct sums of the increments against the kernel rows of the read
+    lags (np.einsum, no BLAS), when (lags read + 1) * n is below
+    _FFT_MACS * nfft log2(nfft): short windows over a long history;
+  * otherwise an FFT of length nfft = next_fast_len(n + n_fine), whose
+    circular wrap-around lands only on indices below n_hist - 1.
+Either way the kernel rows or spectrum are built once per call and
+reused for every path, and the cell averages are freed once they are
+taken; every path's sums run the same operations, so ensemble row i
+equals the single path of stream i bit for bit.
 
 Closed forms used throughout: with w(u) = u_+^d e^{-lam u} and
 W(u) = int_0^{u_+} w = lam^{-d-1} gamma_lower(d+1, lam u_+),
@@ -38,7 +51,7 @@ import numpy as np
 
 from .calculus import fft_convolver
 from .driver import LevyDriverSpec, sample_increments
-from .errors import ToleranceError
+from .errors import check_budget
 from .grids import SampleGrid, SamplePath
 # upper_gamma is unused here but kept: perfbench/tracing.py wraps it at this module
 from .special import gamma_fn, lower_gamma, upper_gamma  # noqa: F401
@@ -51,8 +64,10 @@ __all__ = [
     "truncation_width", "total_variation",
 ]
 
-# most fine cells one simulation may use; at 2**24 its FFT buffers take about 1 GB
-_MAX_CELLS = 2 ** 24
+# one FFT pair of a path costs about this many einsum multiply-adds per
+# nfft log2(nfft) (scipy.fft against np.einsum, numpy 2.4, 2-core x86 host:
+# 1.9-2.9 ns against 0.6-0.9 ns)
+_FFT_MACS = 3.0
 
 
 @dataclass(frozen=True)
@@ -156,12 +171,31 @@ def _prepare(kind, params, grid, trunc_width, refine):
     dt = grid.dx / refine
     n_hist = int(np.ceil(R / dt))
     n_fine = grid.n_cells * refine
-    if n_hist + n_fine > _MAX_CELLS:
-        raise ToleranceError(
-            f"simulate: {n_hist + n_fine} fine cells exceed the budget of "
-            f"{_MAX_CELLS} (truncation width {R:.4g}, cell width {dt:.4g})")
+    check_budget(n_hist + n_fine, f"simulate: fine cells for truncation width "
+                                  f"{R:.4g} and cell width {dt:.4g}")
     fine = SampleGrid(-n_hist * dt, grid.x_max, n_hist + n_fine)
     return R, dt, n_hist, n_fine, fine
+
+
+def _lag_reader(g_bar, n_hist, step):
+    """dL -> conv[m] = sum_j dL[j] g_bar[m-j] at the indices the simulator
+    reads, m = n_hist - 1, n_hist - 1 + step, ..., n - 1 (n = len(g_bar)).
+    Direct sums against the g_bar rows of those indices when they cost less
+    than an FFT pair; otherwise an FFT of length next_fast_len(n + n_fine),
+    n_fine = n - n_hist, whose circular wrap-around lands only below index
+    n_hist - 1."""
+    n = len(g_bar)
+    n_fine = n - n_hist
+    size = n + n_fine
+    if (n_fine // step + 2) * n < _FFT_MACS * size * np.log2(size):
+        # row k, column j: g_bar[n_hist - 1 + k step - j], zero past the
+        # diagonal; the rows are overlapping windows of one padded copy
+        padded = np.concatenate((g_bar[::-1], np.zeros(n_fine)))
+        rows = np.lib.stride_tricks.sliding_window_view(padded, n)[n_fine::-step]
+        # einsum's own loop, not BLAS: the sums do not depend on thread counts
+        return lambda x: np.einsum("ij,j->i", rows, x)
+    convolve = fft_convolver(g_bar, n, size)
+    return lambda x: convolve(x)[n_hist - 1:n:step]
 
 
 def _simulate_streams(kind, params, grid, driver, trunc_width, seed, refine,
@@ -171,19 +205,22 @@ def _simulate_streams(kind, params, grid, driver, trunc_width, seed, refine,
     truncation width.  smooth selects simulate_smooth_regime's route."""
     R, dt, n_hist, n_fine, fine = _prepare(kind, params, grid, trunc_width, refine)
     n = n_hist + n_fine
-    convolve = fft_convolver(_cell_averages(kind, params.d, params.lam, dt, n, smooth), n)
-    lags = refine * np.arange(grid.n_cells + 1)
+    # the smooth route reads Z at every fine lag, the direct one S at every
+    # refine-th; the cell averages are a temporary: only their spectrum or
+    # one padded copy stays
+    read = _lag_reader(_cell_averages(kind, params.d, params.lam, dt, n, smooth),
+                       n_hist, 1 if smooth else refine)
     out = np.empty((len(streams), grid.n_cells + 1))
     for row, stream in zip(out, streams):
-        conv = convolve(sample_increments(driver, fine, seed, stream=stream))
+        conv = read(sample_increments(driver, fine, seed, stream=stream))
         if smooth:
-            # Z(s) at s = 0, dt, ..., t_max, integrated by the trapezoid rule
-            Z = conv[n_hist - 1:n]
-            row[:] = np.concatenate(([0.0], np.cumsum(0.5 * (Z[1:] + Z[:-1]) * dt)))[lags]
+            # conv is Z(s) at s = 0, dt, ..., t_max, integrated by the trapezoid rule
+            integral = np.cumsum(0.5 * (conv[1:] + conv[:-1]) * dt)
+            row[:] = np.concatenate(([0.0], integral))[::refine]
         else:
             # conv[m] = sum_j dL[j] g_bar[m-j] ~ int G(edge_{m+1} - x) dL(x); the
             # kernel is G(t-x) - G(-x), so S(t) is a difference of two lags
-            row[:] = conv[n_hist - 1 + lags] - conv[n_hist - 1]
+            row[:] = conv - conv[0]
     out /= gamma_fn(1.0 + params.d)
     out[:, 0] = 0.0
     return out, R

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tflp.calculus import (
-    fft_convolver, fourier_multiplier, frac_derivative_minus,
+    _tail_masses, fft_convolver, fourier_multiplier, frac_derivative_minus,
     frac_derivative_plus, frac_integral_minus, frac_integral_plus,
     sobolev_norm,
 )
 from tflp.errors import ToleranceError
 from tflp.grids import GridFunction, SampleGrid
+from tflp.special import upper_gamma
 
 
 def _bump(width=25.0, dx=2.0 ** -6):
@@ -28,6 +29,18 @@ def test_fft_convolver_matches_scipy_signal_bit_for_bit():
         for _ in range(2):
             x = rng.standard_normal(n)
             np.testing.assert_array_equal(convolve(x), fftconvolve(x, kernel))
+
+
+def test_tail_masses_equal_two_upper_gamma_calls_bit_for_bit():
+    # frac_derivative_minus once took T0 and T1 from two upper_gamma calls,
+    # the first recomputing Gamma(1 - kappa, x) inside its recurrence
+    for kappa in (0.2, 0.5, 0.8):
+        for lam, dx in ((0.3, 2.0 ** -6), (1.0, 50.0 / 2 ** 16), (2.5, 0.1)):
+            x = lam * dx * np.arange(1, 4098)
+            T0, T1 = _tail_masses(kappa, lam, x)
+            np.testing.assert_array_equal(T0, lam ** kappa * upper_gamma(-kappa, x))
+            np.testing.assert_array_equal(T1, lam ** (kappa - 1.0)
+                                          * upper_gamma(1.0 - kappa, x))
 
 
 def test_integral_of_exponential_eigenfunction():

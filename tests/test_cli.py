@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 import tflp
-from tflp import processes
+from tflp import errors
 from tflp.cli import main, read_csv
 from tflp.driver import (CompoundPoisson, TemperedStable, UniformSymmetric,
                          spec_from_config)
@@ -164,19 +164,21 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
     out = tmp_path / "c.csv"
     manifest = tmp_path / "c.csv.manifest.json"
-    for argv in (
+    simulate = ["simulate", "tflp1", "--d", "0.3", "--lambda", "0.5", "--tmax", "4",
+                "--n", "8", "--driver", "tstable", "--lambda-noise", "1"]
+    for argv, engine in (
             # cov2 has a new numerical route (engine 1): the closed-form covariance
-            ["analytic", "cov2", "--d", "0.3", "--lambda", "0.5",
-             "--range", "0.25:2:0.25"],
-            # so do tempered-stable drivers with alpha < 1, whose cells are
-            # split into sub-increments
-            ["simulate", "tflp1", "--d", "0.3", "--lambda", "0.5", "--tmax", "4",
-             "--n", "8", "--driver", "tstable", "--alpha", "0.7",
-             "--lambda-noise", "1"]):
+            (["analytic", "cov2", "--d", "0.3", "--lambda", "0.5",
+              "--range", "0.25:2:0.25"], 1),
+            # every simulate run convolves only the lags it reads (engine 1)
+            ([*simulate, "--alpha", "1.4"], 1),
+            # tempered-stable drivers with alpha < 1 also split their cells
+            # into sub-increments (one more)
+            ([*simulate, "--alpha", "0.7"], 2)):
         assert run([*argv, "--out", out]) == 0
         first = out.read_bytes()
         payload = json.loads(manifest.read_text())
-        assert payload["engine"] == 1
+        assert payload["engine"] == engine
         out.unlink()
         assert run(["rerun", manifest]) == 0
         assert out.read_bytes() == first
@@ -197,16 +199,30 @@ def test_unchanged_curve_manifest_has_no_engine_key(tmp_path):
     manifest = tmp_path / "a.csv.manifest.json"
     for argv in (["analytic", "cov1", "--d", "0.3", "--lambda", "0.5",
                   "--range", "0.25:2:0.25"],
-                 # alpha >= 1 keeps the compound Poisson plus Gaussian route
-                 ["simulate", "tflp1", "--d", "0.3", "--lambda", "0.5", "--tmax", "4",
-                  "--n", "8", "--driver", "tstable", "--alpha", "1.4",
-                  "--lambda-noise", "1"]):
+                 # verify keeps its rule: engine 0 unless tstable alpha < 1
+                 ["verify", "calculus"]):
         assert run([*argv, "--out", out]) == 0
         first, text = out.read_bytes(), manifest.read_text()
         assert "engine" not in json.loads(text)
         out.unlink()
         assert run(["rerun", manifest]) == 0
         assert out.read_bytes() == first and manifest.read_text() == text
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the criterion-05 setting, which takes direct lag sums: they must not
+    # go through a BLAS reduction whose order depends on the thread count
+    src = os.path.dirname(os.path.dirname(tflp.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"p{threads}.csv"
+        argv = ["simulate", "tflp1", "--d", "0.1667", "--lambda", "0.1", "--tmax", "2",
+                "--n", "8", "--ensemble", "3", "--seed", "8", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "tflp.cli", *argv], check=True,
+                       env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                       timeout=120)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_heavily_tempered_simulate_exits_0(tmp_path):
@@ -282,7 +298,7 @@ def test_parameter_errors_exit_2(tmp_path):
 
 
 def test_cell_budget_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(processes, "_MAX_CELLS", 100)
+    monkeypatch.setattr(errors, "MAX_CELLS", 100)
     out = tmp_path / "x.csv"
     assert run(["simulate", "tflp1", "--d", "0.3", "--lambda", "1",
                 "--tmax", "1", "--n", "8", "--out", out]) == 3
@@ -293,6 +309,30 @@ def test_cell_budget_exits_3(tmp_path, monkeypatch, capsys):
                 "--range", "0:1000:1", "--out", out]) == 3
     assert "budget" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_draw_budget_exits_3(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.csv"
+    # 1e15 jumps per unit time ended in a MemoryError traceback
+    for argv in (["simulate", "tflp1", "--d", "0.3", "--lambda", "1", "--tmax", "1",
+                  "--n", "8", "--intensity", "1e15", "--out", out],
+                 ["verify", "isometry", "--intensity", "1e15", "--out", out]):
+        assert run(argv) == 3
+        assert "expected jumps (" in capsys.readouterr().err
+        assert not out.exists()
+    # about 1.5e3 fine cells fit a budget of 5000; the draws do not: 2.4e4
+    # expected jumps, and m n = 9 * 1.5e3 tempered-stable sub-steps
+    monkeypatch.setattr(errors, "MAX_CELLS", 5000)
+    simulate = ["simulate", "tflp1", "--d", "0.3", "--lambda", "1", "--tmax", "1",
+                "--n", "8", "--out", out]
+    for flags, what in ((["--intensity", "1000"], "expected jumps"),
+                        (["--driver", "tstable", "--lambda-noise", "1000"],
+                         "sub-step draws")):
+        assert run([*simulate, *flags]) == 3
+        err = capsys.readouterr().err
+        assert what in err and "exceed the budget of 5000" in err
+        assert not out.exists()
+    assert run([*simulate, "--intensity", "10"]) == 0
 
 
 @pytest.mark.parametrize("argv, files, code", [

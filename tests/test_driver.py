@@ -9,11 +9,13 @@ import pytest
 from scipy import special as sp
 
 import tflp
+from tflp import driver, errors
 from tflp.driver import (
     CompoundPoisson, GaussianJumps, GaussianValidation, TemperedStable,
     TwoPoint, UniformSymmetric, _positive_stable, _rng_for, _tilted_subordinator,
     char_exponent, sample_increments, second_moment, spec_from_config,
 )
+from tflp.errors import ToleranceError
 from tflp.grids import SampleGrid
 from tflp.special import upper_gamma
 
@@ -146,6 +148,26 @@ def test_rejection_routes_keep_their_draw_order():
             expected += rng.normal(0.0, np.sqrt(small_var * dt), size=n)
         got = sample_increments(TemperedStable(a, lam, c), grid, seed=5, stream=2)
         np.testing.assert_array_equal(got, expected)
+
+
+def test_draw_budget_raises_before_drawing(monkeypatch):
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew ({name}) before the budget check")
+
+    monkeypatch.setattr(driver, "_rng_for", lambda seed, stream=0: NoDraws())
+    monkeypatch.setattr(errors, "MAX_CELLS", 100)
+    grid = SampleGrid(0.0, 64.0, 64)
+    for spec, what in (
+            (CompoundPoisson(2.0, UniformSymmetric(1.0)), "expected jumps"),  # 128
+            (TemperedStable(0.7, 1.0), "sub-step draws"),       # m = 5, m n = 320
+            (TemperedStable(1.4, 1.0), "expected jumps")):      # about 10 per cell
+        with pytest.raises(ToleranceError, match=f"{what} .* exceed the budget of 100"):
+            sample_increments(spec, grid, seed=1)
+    # the unpatched budget still stops an unbounded jump count
+    monkeypatch.setattr(errors, "MAX_CELLS", 2 ** 24)
+    with pytest.raises(ToleranceError, match="budget"):
+        sample_increments(CompoundPoisson(1e15, UniformSymmetric(1.0)), grid, seed=1)
 
 
 def test_determinism_and_stream_independence():

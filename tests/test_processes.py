@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
-from tflp import processes
+from tflp import errors, processes
+from tflp.calculus import fft_convolver
 from tflp.driver import (CompoundPoisson, TwoPoint, UniformSymmetric,
                          sample_increments, second_moment)
 from tflp.errors import ToleranceError
@@ -166,13 +168,16 @@ def test_smooth_regime_requires_smooth_d():
         simulate_smooth_regime(TemperedParams(0.3, 1.0), g, CP, seed=0)
 
 
-def test_ensemble_rows_are_single_paths():
+def test_ensemble_rows_are_single_paths(monkeypatch):
     p = TemperedParams(0.2, 1.0)
     g = SampleGrid(0.0, 1.0, 8)
-    arr = simulate_ensemble("TFLP2", p, g, CP, seed=9, n_paths=3)
-    for i in range(3):
-        path = simulate_tflp2(p, g, CP, seed=9, stream=i)
-        np.testing.assert_array_equal(arr[i], path.values)
+    # direct sums, then the FFT route forced by an FFT cost of 0
+    for cost in (processes._FFT_MACS, 0.0):
+        monkeypatch.setattr(processes, "_FFT_MACS", cost)
+        arr = simulate_ensemble("TFLP2", p, g, CP, seed=9, n_paths=3)
+        for i in range(3):
+            path = simulate_tflp2(p, g, CP, seed=9, stream=i)
+            np.testing.assert_array_equal(arr[i], path.values)
 
 
 def test_noise_path_reads_unit_lag_differences():
@@ -191,12 +196,17 @@ def test_total_variation():
     assert total_variation(np.array([0.0, 1.0, -1.0, 0.5])) == 4.5
 
 
-def _reference_path(kind, p, g, driver, seed, stream, refine, smooth=False):
-    """One path by the original per-path recipe: fresh increments and
-    kernel cell averages, scipy.signal.fftconvolve, then the lag read."""
+def _reference_path(kind, p, g, driver, seed, stream, refine, smooth=False,
+                    route="direct"):
+    """One path by a written-out recipe: fresh increments and kernel cell
+    averages, then the convolution at the read lags by route: "direct"
+    sums of the lag rows of the kernel (np.einsum), "fft" of length
+    next_fast_len(n + n_fine), or "full", the original
+    scipy.signal.fftconvolve of length 2n - 1."""
     dt = g.dx / refine
     n_hist = int(np.ceil(truncation_width(p) / dt))
-    n = n_hist + g.n_cells * refine
+    n_fine = g.n_cells * refine
+    n = n_hist + n_fine
     dL = sample_increments(driver, SampleGrid(-n_hist * dt, g.x_max, n), seed,
                            stream=stream)
     lags = refine * np.arange(g.n_cells + 1)
@@ -205,36 +215,107 @@ def _reference_path(kind, p, g, driver, seed, stream, refine, smooth=False):
         anti = _w(edges, p.d, p.lam)
         if kind == "TFLP2":
             anti = anti + p.lam * _w_antideriv(edges, p.d, p.lam)
-        Z = fftconvolve(dL, np.diff(anti) / dt)[:n][n_hist - 1:]
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (Z[1:] + Z[:-1]) * dt)))
+        g_bar = np.diff(anti) / dt
+    else:
+        g_bar = _cell_averages(kind, p.d, p.lam, dt, n)
+    read = np.arange(n_hist - 1, n) if smooth else n_hist - 1 + lags
+    if route == "direct":
+        K = np.zeros((len(read), n))
+        for row, m in zip(K, read):
+            row[:m + 1] = g_bar[m::-1]
+        conv = np.einsum("ij,j->i", K, dL)
+    elif route == "fft":
+        nfft = next_fast_len(n + n_fine, real=True)
+        conv = irfft(rfft(dL, nfft) * rfft(g_bar, nfft), nfft)[read]
+    else:
+        conv = fftconvolve(dL, g_bar)[read]
+    if smooth:
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (conv[1:] + conv[:-1]) * dt)))
         values = cum[lags] / gamma_fn(1.0 + p.d)
     else:
-        conv = fftconvolve(dL, _cell_averages(kind, p.d, p.lam, dt, n))[:n]
-        values = (conv[n_hist - 1 + lags] - conv[n_hist - 1]) / gamma_fn(1.0 + p.d)
+        values = (conv - conv[0]) / gamma_fn(1.0 + p.d)
     values[0] = 0.0
     return values
 
 
 @pytest.mark.parametrize("d, lam", [(0.7, 0.5), (1.3, 2.0)])
-def test_simulators_are_bit_identical_to_reference_recipe(d, lam):
+def test_simulators_are_bit_identical_to_reference_recipe(d, lam, monkeypatch):
+    # at this size the lag rows are cheaper than an FFT pair: direct sums for
+    # the direct simulators, the window-sized FFT for the smooth regime
+    # (which reads every fine lag); an FFT cost of 0 forces the FFT everywhere
     p = TemperedParams(d, lam)
     g = SampleGrid(0.0, 2.0, 16)
-    for kind, sim in (("TFLP1", simulate_tflp1), ("TFLP2", simulate_tflp2)):
-        refs = [_reference_path(kind, p, g, CP, 4, i, 4) for i in range(3)]
-        np.testing.assert_array_equal(sim(p, g, CP, seed=4, refine=4,
-                                          stream=2).values, refs[2])
-        np.testing.assert_array_equal(
-            simulate_ensemble(kind, p, g, CP, seed=4, n_paths=3, refine=4),
-            np.array(refs))
-        smooth = simulate_smooth_regime(p, g, CP, seed=4, kind=kind, refine=4,
-                                        stream=1)
-        np.testing.assert_array_equal(
-            smooth.values, _reference_path(kind, p, g, CP, 4, 1, 4, smooth=True))
+    for cost, route in ((processes._FFT_MACS, "direct"), (0.0, "fft")):
+        monkeypatch.setattr(processes, "_FFT_MACS", cost)
+        for kind, sim in (("TFLP1", simulate_tflp1), ("TFLP2", simulate_tflp2)):
+            refs = [_reference_path(kind, p, g, CP, 4, i, 4, route=route)
+                    for i in range(3)]
+            np.testing.assert_array_equal(sim(p, g, CP, seed=4, refine=4,
+                                              stream=2).values, refs[2])
+            np.testing.assert_array_equal(
+                simulate_ensemble(kind, p, g, CP, seed=4, n_paths=3, refine=4),
+                np.array(refs))
+            smooth = simulate_smooth_regime(p, g, CP, seed=4, kind=kind, refine=4,
+                                            stream=1)
+            np.testing.assert_array_equal(
+                smooth.values,
+                _reference_path(kind, p, g, CP, 4, 1, 4, smooth=True, route="fft"))
+            # the 2n - 1 recipe these replaced differs by rounding only
+            for values, full in (
+                    (refs[2], _reference_path(kind, p, g, CP, 4, 2, 4, route="full")),
+                    (smooth.values, _reference_path(kind, p, g, CP, 4, 1, 4,
+                                                    smooth=True, route="full"))):
+                assert np.max(np.abs(values - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def _convolve_oracle(kind, p, g, driver, seed, refine, smooth=False):
+    """S on g from the full np.convolve of increments and cell averages."""
+    dt = g.dx / refine
+    n_hist = int(np.ceil(truncation_width(p) / dt))
+    n = n_hist + g.n_cells * refine
+    dL = sample_increments(driver, SampleGrid(-n_hist * dt, g.x_max, n), seed)
+    conv = np.convolve(dL, _cell_averages(kind, p.d, p.lam, dt, n, smooth))
+    lags = refine * np.arange(g.n_cells + 1)
+    if smooth:
+        Z = conv[n_hist - 1:n]
+        values = np.concatenate(([0.0], np.cumsum(0.5 * (Z[1:] + Z[:-1]) * dt)))[lags]
+    else:
+        values = conv[n_hist - 1 + lags] - conv[n_hist - 1]
+    return values / gamma_fn(1.0 + p.d)
+
+
+@pytest.mark.parametrize("kind, d, lam, n_cells, refine, smooth, fft", [
+    ("TFLP1", 1 / 6, 0.1, 8, 8, False, False),   # criterion-05 setting
+    ("TFLP2", 0.3, 0.5, 8, 8, False, False),
+    ("TFLP1", -0.3, 1.0, 16, 4, False, False),
+    ("TFLP1", 0.3, 1.0, 512, 4, False, True),    # many read lags: FFT is cheaper
+    ("TFLP2", -0.3, 2.0, 512, 2, False, True),
+    ("TFLP1", 0.8, 0.5, 16, 4, True, True),      # the smooth regime reads every
+    ("TFLP2", 1.3, 1.0, 64, 2, True, True),      # fine lag: the FFT, unless the
+    ("TFLP1", 0.8, 2.0, 4, 1, True, False),      # window is tiny
+])
+def test_both_routes_match_full_convolution_oracle(kind, d, lam, n_cells, refine,
+                                                   smooth, fft, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(processes, "fft_convolver", lambda kernel, n, size:
+                        sizes.append(size) or fft_convolver(kernel, n, size))
+    p = TemperedParams(d, lam)
+    g = SampleGrid(0.0, 2.0, n_cells)
+    oracle = _convolve_oracle(kind, p, g, CP, 12, refine, smooth)
+    if smooth:
+        got = simulate_smooth_regime(p, g, CP, seed=12, kind=kind, refine=refine)
+    else:
+        got = (simulate_tflp1 if kind == "TFLP1" else simulate_tflp2)(
+            p, g, CP, seed=12, refine=refine)
+    assert np.max(np.abs(got.values - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    n_fine = n_cells * refine
+    n_hist = int(np.ceil(truncation_width(p) / (g.dx / refine)))
+    assert sizes == ([n_hist + 2 * n_fine] if fft else [])
 
 
 def test_cell_budget_raises_before_allocating(monkeypatch):
     # about 1.5e3 history cells against a budget of 100
-    monkeypatch.setattr(processes, "_MAX_CELLS", 100)
+    monkeypatch.setattr(errors, "MAX_CELLS", 100)
     p = TemperedParams(0.3, 1.0)
     g = SampleGrid(0.0, 1.0, 8)
     with pytest.raises(ToleranceError, match="budget"):
