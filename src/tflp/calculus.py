@@ -56,15 +56,11 @@ def _reversed(f):
     return GridFunction(f.grid, f.values[::-1].copy())
 
 
-def fft_convolver(kernel, n, size=None):
+def fft_convolver(kernel, n):
     """Linear convolution x -> x * kernel of inputs of length n, from a
-    kernel spectrum taken once; returns its first size samples.  The
-    default size is the full n + len(kernel) - 1, with the FFT length and
-    product order of scipy.signal.fftconvolve(x, kernel): the two agree
-    bit for bit.  A smaller size takes a transform of next_fast_len(size),
-    whose circular wrap-around spoils only the samples below
-    n + len(kernel) - 1 - size."""
-    size = n + len(kernel) - 1 if size is None else size
+    kernel spectrum taken once; the FFT length and product order are those
+    of scipy.signal.fftconvolve(x, kernel), and the two agree bit for bit."""
+    size = n + len(kernel) - 1
     nfft = next_fast_len(size, real=True)
     spectrum = rfft(kernel, nfft)
     return lambda x: irfft(rfft(x, nfft) * spectrum, nfft)[:size]

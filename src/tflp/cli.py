@@ -98,13 +98,15 @@ def _engine(command, config):
     """Version of the numerical route behind a run's bytes; manifests record
     it only when it is not 0, so those of unchanged routes keep their bytes.
     analytic: per curve, as in _CURVES.  Otherwise the sum of two steps:
-    1 for every simulate run (the convolution reads only the lags it needs,
-    by a window-sized FFT or by direct sums), and 1 for simulate and verify
-    runs whose tempered-stable driver has alpha < 1 (cells split into
-    sub-increments).  So simulate is 1, or 2 with such a driver; verify 0 or 1."""
+    2 for every simulate run (1: the convolution reads only the lags it
+    needs; 2: the kernel is cut where it falls below rounding, its far-lag
+    constant enters through a cumulative sum, and long windows are convolved
+    in overlap-save blocks), and 1 for simulate and verify runs whose
+    tempered-stable driver has alpha < 1 (cells split into sub-increments).
+    So simulate is 2, or 3 with such a driver; verify 0 or 1."""
     if command == "analytic":
         return _CURVES.get(config["curve"], (0,))[0]
-    return (int(command == "simulate")
+    return (2 * (command == "simulate")
             + int(config.get("driver") == "tstable" and config["alpha"] < 1.0))
 
 

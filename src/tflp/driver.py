@@ -42,6 +42,10 @@ __all__ = [
     "second_moment", "char_exponent", "sample_increments", "spec_from_config",
 ]
 
+# the draw budget counts each tempered-stable sub-step as at least this many
+# draws, which bounds the time of the sub-step loop on short grids
+_MIN_STEP_DRAWS = 4096
+
 
 # ---------------------------------------------------------------------------
 # jump laws for the compound Poisson driver
@@ -257,7 +261,7 @@ def _tilted_subordinator(rng, alpha, lam, c, dt, n):
     each the sum of m sub-increments accepted with probability at least 1/e."""
     sigma_alpha = c * dt * _sp.gamma(1.0 - alpha) / alpha
     m = max(1, math.ceil(lam ** alpha * sigma_alpha))
-    check_budget(m * n, "sample_increments: sub-step draws")
+    check_budget(m * max(n, _MIN_STEP_DRAWS), "sample_increments: sub-step draws")
     sigma = (sigma_alpha / m) ** (1.0 / alpha)
     out = np.zeros(n)
     for _ in range(m):

@@ -19,19 +19,28 @@ the domain is truncated on the left where the exponential taper makes
 the neglected mass provably small; more than errors.MAX_CELLS fine
 cells raise ToleranceError before any allocation.
 
+The cell averages are written g_bar[k] = c + r[k].  The constant c is
+the kernel's far-lag limit: lam^{-d} Gamma(1+d) for type II, 0 for type I
+and for the smooth regime.  The tempering makes r decay exponentially,
+so it is convolved only up to the first lag K beyond which |r| stays
+below 2^-53 of its peak, and c then enters a path as c (L(t) - L(0)), a
+cumulative sum of the window increments.  When K reaches the n cells,
+nothing is cut and g_bar itself is convolved.
+
 With n_hist history and n_fine window cells (n = n_hist + n_fine), a
 path reads the convolution only at indices n_hist - 1 onwards: every
 refine-th one, or every one for the smooth regime.  Those lags are
 computed by one of two routes, chosen per call by cost:
-  * direct sums of the increments against the kernel rows of the read
-    lags (np.einsum, no BLAS), when (lags read + 1) * n is below
-    _FFT_MACS * nfft log2(nfft): short windows over a long history;
-  * otherwise an FFT of length nfft = next_fast_len(n + n_fine), whose
-    circular wrap-around lands only on indices below n_hist - 1.
-Either way the kernel rows or spectrum are built once per call and
-reused for every path, and the cell averages are freed once they are
-taken; every path's sums run the same operations, so ensemble row i
-equals the single path of stream i bit for bit.
+  * direct sums of K-wide windows of the increments against the reversed
+    r, or of the increments against the rows of the reversed kernel when
+    nothing is cut (np.einsum, no BLAS), when (lags read + 1) * K is below
+    _FFT_MACS * blocks * size log2(size): short windows or short kernels;
+  * otherwise an overlap-save FFT over blocks of next_fast_len(size)
+    points, size = K + min(n_fine, 3 K): one block, the whole window at
+    once, when n_fine <= 3 K, else blocks of about 4 K points.
+Either way the reversed r or its spectrum is built once per call and
+reused for every path; every path's sums run the same operations, so
+ensemble row i equals the single path of stream i bit for bit.
 
 Closed forms used throughout: with w(u) = u_+^d e^{-lam u} and
 W(u) = int_0^{u_+} w = lam^{-d-1} gamma_lower(d+1, lam u_+),
@@ -49,12 +58,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import fft_convolver
+from scipy.fft import irfft, next_fast_len, rfft
+
 from .driver import LevyDriverSpec, sample_increments
 from .errors import check_budget
 from .grids import SampleGrid, SamplePath
-# upper_gamma is unused here but kept: perfbench/tracing.py wraps it at this module
-from .special import gamma_fn, lower_gamma, upper_gamma  # noqa: F401
+from .special import gamma_fn, lower_gamma, upper_gamma
 
 __all__ = [
     "TemperedParams",
@@ -139,23 +148,66 @@ def truncation_width(params: TemperedParams, tol: float = 1e-10) -> float:
     return float(max(R, 1.0))
 
 
-def _cell_averages(kind, d, lam, dx, n_pos, smooth=False):
-    """Exact cell averages over [p dx, (p+1) dx], p = 0..n_pos-1, of the
-    kernel window: w for type I, w + lam W for type II, using
-    int_0^u W = u W(u) - lam^{-d-2} gamma_lower(d+2, lam u); with smooth,
-    of the smooth regime's inner kernel w' (type I) or (w + lam W)' (II)."""
-    edges = dx * np.arange(n_pos + 1)
-    if smooth:
-        anti = _w(edges, d, lam)
-        if kind == "TFLP2":
-            anti = anti + lam * _w_antideriv(edges, d, lam)
-        return np.diff(anti) / dx
-    W = _w_antideriv(edges, d, lam)
-    avg = np.diff(W) / dx
-    if kind == "TFLP2":
-        WW = edges * W - lam ** (-d - 2.0) * lower_gamma(d + 2.0, lam * edges)
-        avg = avg + lam * np.diff(WW) / dx
-    return avg
+def _cell_averages(kind, d, lam, dx, start, stop, smooth=False):
+    """Averages of the kernel window over the cells [p dx, (p+1) dx],
+    p = start..stop-1, as (c, r): the far-lag limit c and r = g_bar - c.
+    The window is w for type I and w + lam W for type II; with smooth, the
+    smooth regime's inner kernel w' or (w + lam W)' = d u^{d-1} e^{-lam u}.
+
+    Each average is a difference of an antiderivative at the cell edges.
+    Near the origin (lam u < 1/2) the antiderivatives are the growing W,
+    w + lam W and int_0^u W = u W(u) - lam^{-d-2} gamma_lower(d+2, lam u);
+    beyond, the ones that decay with the lag, so far cells do not lose
+    digits to cancellation: W - W(inf) = -lam^{-d-1} Gamma(d+1, lam u),
+    w + lam W - c = -d lam^{-d} Gamma(d, lam u) with c = lam^{-d} Gamma(1+d),
+    and its integral by int Gamma(d, lam u) du = u Gamma(d, lam u) -
+    Gamma(d+1, lam u) / lam = ((lam u - d) Gamma(d, lam u) - (lam u)^d
+    e^{-lam u}) / lam.  c is 0 but for type II outside the smooth regime."""
+    edges = dx * np.arange(start, stop + 1)
+    if smooth and kind == "TFLP1":
+        return 0.0, np.diff(_w(edges, d, lam)) / dx
+    split = min(max(int(np.ceil(0.5 / (lam * dx))), start), stop) - start
+    u, x = edges[:split + 1], lam * edges[split:]
+    c = 0.0
+    if kind == "TFLP1":
+        near = np.diff(_w_antideriv(u, d, lam)) / dx
+        far = -lam ** (-d - 1.0) * upper_gamma(d + 1.0, x)
+    elif smooth:
+        near = np.diff(_w(u, d, lam) + lam * _w_antideriv(u, d, lam)) / dx
+        far = -d * lam ** -d * upper_gamma(d, x)
+    else:
+        c = lam ** -d * gamma_fn(1.0 + d)
+        W = _w_antideriv(u, d, lam)
+        WW = u * W - lam ** (-d - 2.0) * lower_gamma(d + 2.0, lam * u)
+        near = np.diff(W) / dx + lam * np.diff(WW) / dx - c
+        far = -d * lam ** (-d - 1.0) * ((x - d) * upper_gamma(d, x) - x ** d * np.exp(-x))
+    return c, np.concatenate((near, np.diff(far) / dx))
+
+
+def _kernel_cells(kind, params, dt, n, smooth=False):
+    """(c, r[:K]) of _cell_averages over the first n cells, cut at the first
+    lag K beyond which |r| stays below 2^-53 of its peak, or (0, g_bar)
+    when K = n.  Past the truncation width R(tol), |r(u)| <= a u^max(d,0)
+    e^{-lam u} <= a tol with a = 1 (type II: |d| lam^{-d} Gamma(d, lam u) is
+    below w(u) there), or lam + d for the smooth regime's w'.  So the cells
+    up to R(2^-53 peak / a) hold every lag above the threshold, and the peak
+    lies well inside R(2^-53 / a), where the first pass stops."""
+    d, lam = params.d, params.lam
+    a = lam + d if smooth else 1.0
+
+    def reach(peak):
+        return min(n, int(np.ceil(truncation_width(params, 2.0 ** -53 * peak / a) / dt)))
+
+    c, r = _cell_averages(kind, d, lam, dt, 0, reach(1.0), smooth)
+    peak = np.max(np.abs(r))
+    stop = reach(peak)
+    if stop > len(r):
+        r = np.concatenate((r, _cell_averages(kind, d, lam, dt, len(r), stop, smooth)[1]))
+    K = np.flatnonzero(np.abs(r) >= 2.0 ** -53 * peak)[-1] + 1
+    if K == n:
+        # nothing is cut: c rides in the kernel, as g_bar
+        return 0.0, c + r
+    return c, r[:K]
 
 
 def _prepare(kind, params, grid, trunc_width, refine):
@@ -177,25 +229,45 @@ def _prepare(kind, params, grid, trunc_width, refine):
     return R, dt, n_hist, n_fine, fine
 
 
-def _lag_reader(g_bar, n_hist, step):
-    """dL -> conv[m] = sum_j dL[j] g_bar[m-j] at the indices the simulator
-    reads, m = n_hist - 1, n_hist - 1 + step, ..., n - 1 (n = len(g_bar)).
-    Direct sums against the g_bar rows of those indices when they cost less
-    than an FFT pair; otherwise an FFT of length next_fast_len(n + n_fine),
-    n_fine = n - n_hist, whose circular wrap-around lands only below index
-    n_hist - 1."""
-    n = len(g_bar)
-    n_fine = n - n_hist
-    size = n + n_fine
-    if (n_fine // step + 2) * n < _FFT_MACS * size * np.log2(size):
-        # row k, column j: g_bar[n_hist - 1 + k step - j], zero past the
-        # diagonal; the rows are overlapping windows of one padded copy
-        padded = np.concatenate((g_bar[::-1], np.zeros(n_fine)))
+def _lag_reader(r, n, n_hist, step):
+    """dL -> conv[m] = sum_k r[k] dL[m-k] (dL of length n, k < K = len(r))
+    at the indices the simulator reads, m = n_hist - 1, n_hist - 1 + step,
+    ..., n - 1.  Only dL[n_hist - K:] enters.  Direct sums over its K-wide
+    windows (over the kernel's rows when K = n) when they cost less than the
+    overlap-save FFT; otherwise blocks of nfft points that step by
+    nfft - K + 1, each giving the lags from its K-th point on."""
+    K, n_fine = len(r), n - n_hist
+    size = K + min(n_fine, 3 * K)
+    nfft = next_fast_len(size, real=True)
+    hop = nfft - K + 1
+    blocks = -(-(n_fine + 1) // hop)
+    direct = (n_fine // step + 2) * K < _FFT_MACS * blocks * size * np.log2(size)
+    if direct and K == n:
+        # nothing is cut: rows of the reversed kernel against all of dL, so
+        # no path is copied; row k, column j: r[n_hist - 1 + k step - j], zero
+        # past the diagonal, overlapping windows of one padded copy
+        padded = np.concatenate((r[::-1], np.zeros(n_fine)))
         rows = np.lib.stride_tricks.sliding_window_view(padded, n)[n_fine::-step]
         # einsum's own loop, not BLAS: the sums do not depend on thread counts
         return lambda x: np.einsum("ij,j->i", rows, x)
-    convolve = fft_convolver(g_bar, n, size)
-    return lambda x: convolve(x)[n_hist - 1:n:step]
+    # each path's dL[n_hist - K:] is copied into one buffer (behind zeros
+    # when K > n_hist, ahead of zeros that fill the last block), whose
+    # windows are views taken once
+    lead = max(K - n_hist, 0)
+    buf = np.zeros(K + n_fine if direct else (blocks - 1) * hop + nfft)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        buf, K if direct else nfft)[::step if direct else hop]
+
+    def load(x):
+        buf[lead:K + n_fine] = x[n_hist - K + lead:]
+        return windows
+
+    if direct:
+        rev = r[::-1].copy()
+        return lambda x: np.einsum("ij,j->i", load(x), rev)
+    spectrum = rfft(r, nfft)
+    return lambda x: irfft(rfft(load(x), axis=-1) * spectrum, nfft,
+                           axis=-1)[:, K - 1:].reshape(-1)[:n_fine + 1:step]
 
 
 def _simulate_streams(kind, params, grid, driver, trunc_width, seed, refine,
@@ -206,21 +278,24 @@ def _simulate_streams(kind, params, grid, driver, trunc_width, seed, refine,
     R, dt, n_hist, n_fine, fine = _prepare(kind, params, grid, trunc_width, refine)
     n = n_hist + n_fine
     # the smooth route reads Z at every fine lag, the direct one S at every
-    # refine-th; the cell averages are a temporary: only their spectrum or
-    # one padded copy stays
-    read = _lag_reader(_cell_averages(kind, params.d, params.lam, dt, n, smooth),
-                       n_hist, 1 if smooth else refine)
+    # refine-th; r is a temporary: only its spectrum or reversed copy stays
+    c, r = _kernel_cells(kind, params, dt, n, smooth)
+    read = _lag_reader(r, n, n_hist, 1 if smooth else refine)
     out = np.empty((len(streams), grid.n_cells + 1))
     for row, stream in zip(out, streams):
-        conv = read(sample_increments(driver, fine, seed, stream=stream))
+        dL = sample_increments(driver, fine, seed, stream=stream)
+        conv = read(dL)
         if smooth:
             # conv is Z(s) at s = 0, dt, ..., t_max, integrated by the trapezoid rule
             integral = np.cumsum(0.5 * (conv[1:] + conv[:-1]) * dt)
             row[:] = np.concatenate(([0.0], integral))[::refine]
         else:
-            # conv[m] = sum_j dL[j] g_bar[m-j] ~ int G(edge_{m+1} - x) dL(x); the
+            # conv[m] + c sum_{j<=m} dL[j] ~ int G(edge_{m+1} - x) dL(x); the
             # kernel is G(t-x) - G(-x), so S(t) is a difference of two lags
+            # plus c (L(t) - L(0))
             row[:] = conv - conv[0]
+            if c:
+                row[1:] += c * np.cumsum(dL[n_hist:])[refine - 1::refine]
     out /= gamma_fn(1.0 + params.d)
     out[:, 0] = 0.0
     return out, R

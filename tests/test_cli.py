@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -170,11 +171,13 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
             # cov2 has a new numerical route (engine 1): the closed-form covariance
             (["analytic", "cov2", "--d", "0.3", "--lambda", "0.5",
               "--range", "0.25:2:0.25"], 1),
-            # every simulate run convolves only the lags it reads (engine 1)
-            ([*simulate, "--alpha", "1.4"], 1),
+            # every simulate run convolves only the lags it reads (engine 1),
+            # with the kernel cut below rounding and its far-lag constant
+            # added through the cumulative increments (engine 2)
+            ([*simulate, "--alpha", "1.4"], 2),
             # tempered-stable drivers with alpha < 1 also split their cells
             # into sub-increments (one more)
-            ([*simulate, "--alpha", "0.7"], 2)):
+            ([*simulate, "--alpha", "0.7"], 3)):
         assert run([*argv, "--out", out]) == 0
         first = out.read_bytes()
         payload = json.loads(manifest.read_text())
@@ -182,16 +185,19 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
         out.unlink()
         assert run(["rerun", manifest]) == 0
         assert out.read_bytes() == first
-        # a manifest without "engine" was written by engine 0: it must fail
-        # loudly rather than rerun to other bytes
+        # a manifest of an earlier engine (none recorded means 0) must fail
+        # loudly rather than rerun to other bytes, and leave the output alone
+        for stale in {0, engine - 1}:
+            out.write_bytes(b"old")
+            payload.pop("engine", None)
+            manifest.write_text(json.dumps({**payload, **({"engine": stale} if stale else {})},
+                                           sort_keys=True, indent=2) + "\n")
+            capsys.readouterr()
+            assert run(["rerun", manifest]) == 2
+            err = capsys.readouterr().err
+            assert "engine" in err and len(err.splitlines()) == 1
+            assert out.read_bytes() == b"old"
         out.unlink()
-        del payload["engine"]
-        manifest.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        capsys.readouterr()
-        assert run(["rerun", manifest]) == 2
-        err = capsys.readouterr().err
-        assert "engine" in err and len(err.splitlines()) == 1
-        assert not out.exists()
 
 
 def test_unchanged_curve_manifest_has_no_engine_key(tmp_path):
@@ -333,6 +339,19 @@ def test_draw_budget_exits_3(tmp_path, monkeypatch, capsys):
         assert what in err and "exceed the budget of 5000" in err
         assert not out.exists()
     assert run([*simulate, "--intensity", "10"]) == 0
+
+
+def test_sub_step_budget_bounds_time_on_short_grids(tmp_path, capsys):
+    # m = 67734 sub-steps of a 64-cell grid were within a budget on m n and
+    # took 45 s; each sub-step now counts as at least 4096 draws
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    assert run(["simulate", "tflp1", "--d", "0.3", "--lambda", "1", "--tmax", "64",
+                "--n", "64", "--refine", "1", "--driver", "tstable",
+                "--lambda-noise", "1e6", "--out", out]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "sub-step draws (" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, files, code", [

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from tflp import errors, processes
-from tflp.calculus import fft_convolver
 from tflp.driver import (CompoundPoisson, TwoPoint, UniformSymmetric,
                          sample_increments, second_moment)
 from tflp.errors import ToleranceError
@@ -169,15 +168,16 @@ def test_smooth_regime_requires_smooth_d():
 
 
 def test_ensemble_rows_are_single_paths(monkeypatch):
-    p = TemperedParams(0.2, 1.0)
-    g = SampleGrid(0.0, 1.0, 8)
-    # direct sums, then the FFT route forced by an FFT cost of 0
-    for cost in (processes._FFT_MACS, 0.0):
-        monkeypatch.setattr(processes, "_FFT_MACS", cost)
-        arr = simulate_ensemble("TFLP2", p, g, CP, seed=9, n_paths=3)
-        for i in range(3):
-            path = simulate_tflp2(p, g, CP, seed=9, stream=i)
-            np.testing.assert_array_equal(arr[i], path.values)
+    # a kernel longer than the cells, and one cut to a tenth of the window
+    for p, g in ((TemperedParams(0.2, 1.0), SampleGrid(0.0, 1.0, 8)),
+                 (TemperedParams(-0.3, 2.0), SampleGrid(0.0, 200.0, 200))):
+        # direct sums, then the FFT route forced by an FFT cost of 0
+        for cost in (np.inf, 0.0):
+            monkeypatch.setattr(processes, "_FFT_MACS", cost)
+            arr = simulate_ensemble("TFLP2", p, g, CP, seed=9, n_paths=3)
+            for i in range(3):
+                path = simulate_tflp2(p, g, CP, seed=9, stream=i)
+                np.testing.assert_array_equal(arr[i], path.values)
 
 
 def test_noise_path_reads_unit_lag_differences():
@@ -196,85 +196,118 @@ def test_total_variation():
     assert total_variation(np.array([0.0, 1.0, -1.0, 0.5])) == 4.5
 
 
+def _full_cells(kind, p, dt, n, smooth=False):
+    """(c, r) of the cell averages over all n cells, uncut."""
+    return _cell_averages(kind, p.d, p.lam, dt, 0, n, smooth)
+
+
 def _reference_path(kind, p, g, driver, seed, stream, refine, smooth=False,
-                    route="direct"):
-    """One path by a written-out recipe: fresh increments and kernel cell
-    averages, then the convolution at the read lags by route: "direct"
-    sums of the lag rows of the kernel (np.einsum), "fft" of length
-    next_fast_len(n + n_fine), or "full", the original
-    scipy.signal.fftconvolve of length 2n - 1."""
+                    route="direct", trunc_width=0.0):
+    """One path by a written-out recipe: fresh increments, the cell averages
+    c + r over all n cells, r cut after its last lag above 2^-53 of its
+    peak (c folded back into r when that lag is the last cell), then the
+    convolution with r at the read lags, plus c times the cumulative window
+    increments, by route: "direct" sums over dense K-wide rows of the
+    increments, or over dense kernel rows when nothing is cut (np.einsum),
+    "fft" by overlap-save, one rfft per block of about 4 K points, or
+    "full", the scipy.signal.fftconvolve of length 2n - 1 with the uncut
+    c + r."""
     dt = g.dx / refine
-    n_hist = int(np.ceil(truncation_width(p) / dt))
+    n_hist = int(np.ceil((trunc_width or truncation_width(p)) / dt))
     n_fine = g.n_cells * refine
     n = n_hist + n_fine
     dL = sample_increments(driver, SampleGrid(-n_hist * dt, g.x_max, n), seed,
                            stream=stream)
     lags = refine * np.arange(g.n_cells + 1)
-    if smooth:
-        edges = dt * np.arange(n + 1)
-        anti = _w(edges, p.d, p.lam)
-        if kind == "TFLP2":
-            anti = anti + p.lam * _w_antideriv(edges, p.d, p.lam)
-        g_bar = np.diff(anti) / dt
+    c, r = _full_cells(kind, p, dt, n, smooth)
+    step = 1 if smooth else refine
+    if route == "full":
+        conv = fftconvolve(dL, c + r)[n_hist - 1 + np.arange(0, n_fine + 1, step)]
     else:
-        g_bar = _cell_averages(kind, p.d, p.lam, dt, n)
-    read = np.arange(n_hist - 1, n) if smooth else n_hist - 1 + lags
-    if route == "direct":
-        K = np.zeros((len(read), n))
-        for row, m in zip(K, read):
-            row[:m + 1] = g_bar[m::-1]
-        conv = np.einsum("ij,j->i", K, dL)
-    elif route == "fft":
-        nfft = next_fast_len(n + n_fine, real=True)
-        conv = irfft(rfft(dL, nfft) * rfft(g_bar, nfft), nfft)[read]
-    else:
-        conv = fftconvolve(dL, g_bar)[read]
+        K = np.flatnonzero(np.abs(r) >= 2.0 ** -53 * np.max(np.abs(r)))[-1] + 1
+        c, r = (0.0, c + r) if K == n else (c, r[:K])
+        # the increments from index n_hist - K on, zeros before index 0
+        x = np.concatenate((np.zeros(max(K - n_hist, 0)), dL[max(n_hist - K, 0):]))
+        if route == "direct" and K == n:
+            # dense rows of the kernel against all of dL
+            rows = np.zeros((n_fine // step + 1, n))
+            for row, m in zip(rows, range(n_hist - 1, n, step)):
+                row[:m + 1] = r[m::-1]
+            conv = np.einsum("ij,j->i", rows, dL)
+        elif route == "direct":
+            rows = np.array([x[i:i + K] for i in range(0, n_fine + 1, step)])
+            conv = np.einsum("ij,j->i", rows, r[::-1].copy())
+        else:
+            nfft = next_fast_len(K + min(n_fine, 3 * K), real=True)
+            hop = nfft - K + 1
+            x = np.concatenate((x, np.zeros(nfft)))
+            spectrum = rfft(r, nfft)
+            blocks = [irfft(rfft(x[b:b + nfft]) * spectrum, nfft)[K - 1:]
+                      for b in range(0, n_fine + 1, hop)]
+            conv = np.concatenate(blocks)[:n_fine + 1:step]
     if smooth:
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (conv[1:] + conv[:-1]) * dt)))
         values = cum[lags] / gamma_fn(1.0 + p.d)
-    else:
+    elif route == "full":
         values = (conv - conv[0]) / gamma_fn(1.0 + p.d)
+    else:
+        values = conv - conv[0]
+        if c:
+            values[1:] += c * np.cumsum(dL[n_hist:])[refine - 1::refine]
+        values /= gamma_fn(1.0 + p.d)
     values[0] = 0.0
     return values
 
 
-@pytest.mark.parametrize("d, lam", [(0.7, 0.5), (1.3, 2.0)])
-def test_simulators_are_bit_identical_to_reference_recipe(d, lam, monkeypatch):
-    # at this size the lag rows are cheaper than an FFT pair: direct sums for
-    # the direct simulators, the window-sized FFT for the smooth regime
-    # (which reads every fine lag); an FFT cost of 0 forces the FFT everywhere
+_RECIPE_CASES = [
+    (0.7, 0.5, SampleGrid(0.0, 2.0, 16), 0.0),    # the kernel outlasts the cells
+    (1.3, 2.0, SampleGrid(0.0, 2.0, 16), 0.0),
+    (0.7, 2.0, SampleGrid(0.0, 2.0, 16), 40.0),   # cut, one FFT block
+    (-0.3, 2.0, SampleGrid(0.0, 64.0, 64), 0.0),  # cut, two FFT blocks
+]
+
+
+@pytest.mark.parametrize("d, lam, g, trunc", _RECIPE_CASES,
+                         ids=[f"{d}-{lam}" for d, lam, _, _ in _RECIPE_CASES])
+def test_simulators_are_bit_identical_to_reference_recipe(d, lam, g, trunc, monkeypatch):
+    # an infinite FFT cost forces direct sums, a cost of 0 the FFT
     p = TemperedParams(d, lam)
-    g = SampleGrid(0.0, 2.0, 16)
-    for cost, route in ((processes._FFT_MACS, "direct"), (0.0, "fft")):
+    for cost, route in ((np.inf, "direct"), (0.0, "fft")):
         monkeypatch.setattr(processes, "_FFT_MACS", cost)
         for kind, sim in (("TFLP1", simulate_tflp1), ("TFLP2", simulate_tflp2)):
-            refs = [_reference_path(kind, p, g, CP, 4, i, 4, route=route)
+            refs = [_reference_path(kind, p, g, CP, 4, i, 4, route=route, trunc_width=trunc)
                     for i in range(3)]
-            np.testing.assert_array_equal(sim(p, g, CP, seed=4, refine=4,
-                                              stream=2).values, refs[2])
+            np.testing.assert_array_equal(sim(p, g, CP, trunc_width=trunc, seed=4,
+                                              refine=4, stream=2).values, refs[2])
             np.testing.assert_array_equal(
-                simulate_ensemble(kind, p, g, CP, seed=4, n_paths=3, refine=4),
+                simulate_ensemble(kind, p, g, CP, seed=4, n_paths=3,
+                                  trunc_width=trunc, refine=4),
                 np.array(refs))
-            smooth = simulate_smooth_regime(p, g, CP, seed=4, kind=kind, refine=4,
-                                            stream=1)
-            np.testing.assert_array_equal(
-                smooth.values,
-                _reference_path(kind, p, g, CP, 4, 1, 4, smooth=True, route="fft"))
-            # the 2n - 1 recipe these replaced differs by rounding only
-            for values, full in (
-                    (refs[2], _reference_path(kind, p, g, CP, 4, 2, 4, route="full")),
-                    (smooth.values, _reference_path(kind, p, g, CP, 4, 1, 4,
-                                                    smooth=True, route="full"))):
-                assert np.max(np.abs(values - full)) <= 1e-13 * np.max(np.abs(full))
+            full = _reference_path(kind, p, g, CP, 4, 2, 4, route="full", trunc_width=trunc)
+            # the full 2n - 1 convolution differs by rounding only
+            assert np.max(np.abs(refs[2] - full)) <= 1e-13 * np.max(np.abs(full))
+            if d <= 0.5:
+                continue
+            smooth = simulate_smooth_regime(p, g, CP, trunc_width=trunc, seed=4,
+                                            kind=kind, refine=4, stream=1)
+            ref = _reference_path(kind, p, g, CP, 4, 1, 4, smooth=True,
+                                  route=route,
+                                  trunc_width=trunc)
+            np.testing.assert_array_equal(smooth.values, ref)
+            full = _reference_path(kind, p, g, CP, 4, 1, 4, smooth=True, route="full",
+                                   trunc_width=trunc)
+            assert np.max(np.abs(smooth.values - full)) <= 1e-13 * np.max(np.abs(full))
 
 
-def _convolve_oracle(kind, p, g, driver, seed, refine, smooth=False):
-    """S on g from the full np.convolve of increments and cell averages."""
+def _convolve_oracle(kind, p, g, driver, seed, refine, smooth=False, trunc_width=0.0):
+    """S on g from the full np.convolve of the increments with the uncut
+    cell averages c + r."""
     dt = g.dx / refine
-    n_hist = int(np.ceil(truncation_width(p) / dt))
+    n_hist = int(np.ceil((trunc_width or truncation_width(p)) / dt))
     n = n_hist + g.n_cells * refine
     dL = sample_increments(driver, SampleGrid(-n_hist * dt, g.x_max, n), seed)
-    conv = np.convolve(dL, _cell_averages(kind, p.d, p.lam, dt, n, smooth))
+    c, r = _full_cells(kind, p, dt, n, smooth)
+    conv = np.convolve(dL, c + r)
     lags = refine * np.arange(g.n_cells + 1)
     if smooth:
         Z = conv[n_hist - 1:n]
@@ -284,33 +317,55 @@ def _convolve_oracle(kind, p, g, driver, seed, refine, smooth=False):
     return values / gamma_fn(1.0 + p.d)
 
 
-@pytest.mark.parametrize("kind, d, lam, n_cells, refine, smooth, fft", [
-    ("TFLP1", 1 / 6, 0.1, 8, 8, False, False),   # criterion-05 setting
-    ("TFLP2", 0.3, 0.5, 8, 8, False, False),
-    ("TFLP1", -0.3, 1.0, 16, 4, False, False),
-    ("TFLP1", 0.3, 1.0, 512, 4, False, True),    # many read lags: FFT is cheaper
-    ("TFLP2", -0.3, 2.0, 512, 2, False, True),
-    ("TFLP1", 0.8, 0.5, 16, 4, True, True),      # the smooth regime reads every
-    ("TFLP2", 1.3, 1.0, 64, 2, True, True),      # fine lag: the FFT, unless the
-    ("TFLP1", 0.8, 2.0, 4, 1, True, False),      # window is tiny
-])
-def test_both_routes_match_full_convolution_oracle(kind, d, lam, n_cells, refine,
-                                                   smooth, fft, monkeypatch):
-    sizes = []
-    monkeypatch.setattr(processes, "fft_convolver", lambda kernel, n, size:
-                        sizes.append(size) or fft_convolver(kernel, n, size))
+# fft: overlap-save blocks per path, False (0) for direct sums
+_ORACLE_CASES = [
+    # kind, d, lam, n_cells, refine, smooth, fft, tmax, trunc_width
+    # the kernel outlasts the cells (K = n)
+    ("TFLP1", 1 / 6, 0.1, 8, 8, False, False, 2.0, 0.0),  # criterion-05 setting
+    ("TFLP2", 0.3, 0.5, 8, 8, False, False, 2.0, 0.0),
+    ("TFLP1", -0.3, 1.0, 16, 4, False, False, 2.0, 0.0),
+    ("TFLP1", 0.3, 1.0, 512, 4, False, True, 2.0, 0.0),   # many read lags: FFT
+    ("TFLP2", -0.3, 2.0, 512, 2, False, True, 2.0, 0.0),  # is cheaper
+    ("TFLP1", 0.8, 0.5, 16, 4, True, True, 2.0, 0.0),     # the smooth regime reads
+    ("TFLP2", 1.3, 1.0, 64, 2, True, True, 2.0, 0.0),     # every fine lag: the FFT,
+    ("TFLP1", 0.8, 2.0, 4, 1, True, False, 2.0, 0.0),     # unless the window is tiny
+    # long windows, at least 8 K cells, over a kernel cut at K < n
+    ("TFLP1", 0.3, 2.0, 800, 1, False, 4, 200.0, 0.0),
+    ("TFLP1", -0.3, 2.0, 200, 4, False, 0, 200.0, 0.0),
+    ("TFLP2", 0.3, 2.0, 200, 4, False, 0, 200.0, 60.0),
+    ("TFLP2", 0.3, 2.0, 800, 1, False, 4, 200.0, 60.0),
+    ("TFLP2", -0.3, 2.0, 800, 1, False, 5, 200.0, 0.0),
+    ("TFLP1", 0.8, 2.0, 200, 4, True, 4, 200.0, 0.0),
+    ("TFLP2", 1.3, 2.0, 400, 2, True, 4, 200.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("kind, d, lam, n_cells, refine, smooth, fft, tmax, trunc",
+                         _ORACLE_CASES,
+                         ids=["-".join(map(str, case[:7])) for case in _ORACLE_CASES])
+def test_both_routes_match_full_convolution_oracle(kind, d, lam, n_cells, refine, smooth,
+                                                   fft, tmax, trunc, monkeypatch):
+    shapes = []
+    monkeypatch.setattr(processes, "rfft", lambda x, *a, **k:
+                        shapes.append(np.shape(x)) or rfft(x, *a, **k))
     p = TemperedParams(d, lam)
-    g = SampleGrid(0.0, 2.0, n_cells)
-    oracle = _convolve_oracle(kind, p, g, CP, 12, refine, smooth)
+    g = SampleGrid(0.0, tmax, n_cells)
+    oracle = _convolve_oracle(kind, p, g, CP, 12, refine, smooth, trunc)
     if smooth:
-        got = simulate_smooth_regime(p, g, CP, seed=12, kind=kind, refine=refine)
+        got = simulate_smooth_regime(p, g, CP, trunc, seed=12, kind=kind, refine=refine)
     else:
         got = (simulate_tflp1 if kind == "TFLP1" else simulate_tflp2)(
-            p, g, CP, seed=12, refine=refine)
+            p, g, CP, trunc, seed=12, refine=refine)
     assert np.max(np.abs(got.values - oracle)) <= 1e-13 * np.max(np.abs(oracle))
-    n_fine = n_cells * refine
-    n_hist = int(np.ceil(truncation_width(p) / (g.dx / refine)))
-    assert sizes == ([n_hist + 2 * n_fine] if fft else [])
+    dt = g.dx / refine
+    n = int(np.ceil((trunc or truncation_width(p)) / dt)) + n_cells * refine
+    c, r = _full_cells(kind, p, dt, n, smooth)
+    K = np.flatnonzero(np.abs(r) >= 2.0 ** -53 * np.max(np.abs(r)))[-1] + 1
+    assert (K < n) == (tmax > 2.0)
+    if K < n:
+        assert n_cells * refine >= 8 * K
+    # one kernel spectrum, then one transform of all blocks of the path
+    assert shapes == ([(K,), (fft, shapes[1][1])] if fft else [])
 
 
 def test_cell_budget_raises_before_allocating(monkeypatch):
@@ -324,3 +379,60 @@ def test_cell_budget_raises_before_allocating(monkeypatch):
         simulate_ensemble("TFLP2", p, g, CP, seed=0, n_paths=2)
     with pytest.raises(ToleranceError, match="budget"):
         simulate_smooth_regime(TemperedParams(0.8, 1.0), g, CP)
+
+
+_FAR_LAGS = [0, 1, 2, 3, 5, 8, 9, 10, 11, 13, 16, 20, 25, 28, 32, 40, 50, 64, 100,
+             200, 500, 1000, 5000, 20000, 100000]
+
+
+@pytest.mark.parametrize("kind, d, lam, dx, smooth, rtol", [
+    ("TFLP2", 0.35, 0.05, 1.0, False, 1e-14),  # the long_path TFLN2 setting
+    ("TFLP2", -0.3, 0.05, 1.0, False, 4e-14),
+    ("TFLP2", 0.8, 0.5, 0.125, False, 4e-14),
+    ("TFLP1", 0.35, 0.05, 1.0, False, None),
+    ("TFLP1", -0.3, 0.5, 0.125, False, None),
+    ("TFLP1", 0.8, 0.5, 0.125, True, None),
+    ("TFLP2", 1.3, 0.05, 1.0, True, None),
+])
+def test_cell_averages_match_mpmath_at_far_lags(kind, d, lam, dx, smooth, rtol):
+    # quadrature of the defining integrands at 30 digits.  Type II tends to
+    # its constant c, which the far lags once reached only through a
+    # difference of values that grow with the lag: relative errors of 3e-13
+    # at lag 5000 and 3e-12 at lag 1e5 in the first setting.  Every r stays
+    # within 2e-13 of its peak (scipy's incomplete gammas, good to about
+    # 5e-15 near lam u = 1.6, lose a factor 1 / (lam dx) in the differences)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        D, L, X = mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(dx)
+        if smooth:
+            def g(u):
+                tail = L * u ** D if kind == "TFLP1" else 0
+                return (D * u ** (D - 1) - tail) * mpmath.exp(-L * u)
+        else:
+            def g(u):
+                w = u ** D * mpmath.exp(-L * u)
+                return w + L ** -D * mpmath.gammainc(D + 1, 0, L * u) if kind == "TFLP2" else w
+        ref = np.array([float(mpmath.quad(g, [k * X, (k + 1) * X]) / X) for k in _FAR_LAGS])
+    c, r = _cell_averages(kind, d, lam, dx, 0, _FAR_LAGS[-1] + 1, smooth)
+    got = c + r[_FAR_LAGS]
+    assert np.max(np.abs(got - ref)) <= 2e-13 * np.max(np.abs(ref - c))
+    if rtol:
+        np.testing.assert_allclose(got, ref, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("kind, smooth", [("TFLP1", False), ("TFLP2", False),
+                                          ("TFLP1", True), ("TFLP2", True)])
+def test_kernel_cut_keeps_every_lag_above_rounding(kind, smooth):
+    # the cut equals the last lag of the uncut averages at or above 2^-53 of
+    # their peak, over peaks far above and below 1
+    for d, lam, dt in ((0.2, 0.3, 0.25), (-0.3, 2.0, 0.05), (0.8, 0.05, 1.0),
+                       (2.2, 0.02, 0.5), (1.3, 3.0, 0.01)):
+        if (kind == "TFLP2" and d == 0.0) or (smooth and d <= 0.5):
+            continue
+        p = TemperedParams(d, lam)
+        n = int(80 / (lam * dt))
+        c, r = processes._kernel_cells(kind, p, dt, n, smooth)
+        c_full, full = _full_cells(kind, p, dt, n, smooth)
+        K = np.flatnonzero(np.abs(full) >= 2.0 ** -53 * np.max(np.abs(full)))[-1] + 1
+        assert c == c_full and K < n
+        np.testing.assert_array_equal(r, full[:K])
