@@ -49,6 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ParameterError
 from .processes import TemperedParams
 from .special import bessel_k, bessel_k_scaled, gamma_fn, struve_l
 
@@ -305,10 +306,12 @@ def acvf_tfln2_asymptotic_band(params: TemperedParams, h: float):
 
     C1, C2 are calibrated once per (d, lam) from exact acvf values on
     lam h in [5, 10]; the contract is the sandwich, not a limit.
-    Normalized to EL2 = 1.
+    Normalized to EL2 = 1; h must be positive.
     """
-    C1, C2 = _band_constants(params.d, params.lam)
     h = np.asarray(h, dtype=float)
+    if not np.all(h > 0):
+        raise ParameterError("acvf_tfln2_asymptotic_band: requires lag h > 0")
+    C1, C2 = _band_constants(params.d, params.lam)
     env = np.exp(-params.lam * h) * h ** (params.d - 1.0)
     lo, hi = C1 * env, C2 * env
     if lo.ndim == 0:

@@ -56,19 +56,13 @@ def _reversed(f):
     return GridFunction(f.grid, f.values[::-1].copy())
 
 
-def fft_convolver(kernel, n):
-    """Linear convolution x -> x * kernel of inputs of length n, from a
-    kernel spectrum taken once; the FFT length and product order are those
-    of scipy.signal.fftconvolve(x, kernel), and the two agree bit for bit."""
-    size = n + len(kernel) - 1
-    nfft = next_fast_len(size, real=True)
-    spectrum = rfft(kernel, nfft)
-    return lambda x: irfft(rfft(x, nfft) * spectrum, nfft)[:size]
-
-
 def _correlate(weights, values, n):
-    """out_j = sum_p weights[p] * values[j+p], j = 0..n."""
-    conv = fft_convolver(values[::-1], len(weights))(weights)
+    """out_j = sum_p weights[p] * values[j+p], j = 0..n, read off the linear
+    convolution of weights with the reversed values; the FFT length and
+    product order are those of scipy.signal.fftconvolve(weights,
+    values[::-1]), and the two agree bit for bit."""
+    nfft = next_fast_len(len(weights) + len(values) - 1, real=True)
+    conv = irfft(rfft(weights, nfft) * rfft(values[::-1], nfft), nfft)
     return conv[: n + 1][::-1]
 
 

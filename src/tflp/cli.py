@@ -97,16 +97,19 @@ def _write_json(path, payload):
 def _engine(command, config):
     """Version of the numerical route behind a run's bytes; manifests record
     it only when it is not 0, so those of unchanged routes keep their bytes.
-    analytic: per curve, as in _CURVES.  Otherwise the sum of two steps:
+    analytic: per curve, as in _CURVES.  Otherwise the sum of three steps:
     2 for every simulate run (1: the convolution reads only the lags it
     needs; 2: the kernel is cut where it falls below rounding, its far-lag
     constant enters through a cumulative sum, and long windows are convolved
-    in overlap-save blocks), and 1 for simulate and verify runs whose
-    tempered-stable driver has alpha < 1 (cells split into sub-increments).
-    So simulate is 2, or 3 with such a driver; verify 0 or 1."""
+    in overlap-save blocks), 1 more for simulate runs of type II (the far-lag
+    constant enters through the cumulative sum also when nothing is cut),
+    and 1 for simulate and verify runs whose tempered-stable driver has
+    alpha < 1 (cells split into sub-increments).  So simulate is 2 or 3 for
+    type I and 3 or 4 for type II; verify 0 or 1."""
     if command == "analytic":
         return _CURVES.get(config["curve"], (0,))[0]
-    return (2 * (command == "simulate")
+    simulate = command == "simulate"
+    return (2 * simulate + int(simulate and config["kind"].endswith("2"))
             + int(config.get("driver") == "tstable" and config["alpha"] < 1.0))
 
 

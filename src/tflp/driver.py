@@ -217,16 +217,15 @@ def _rng_for(seed, stream=0):
     return np.random.Generator(np.random.Philox(key=(np.uint64(seed) << np.uint64(32)) + np.uint64(stream)))
 
 
-def _compound_poisson_increments(spec, dt, n, rng):
-    check_budget(spec.intensity * dt * n, "sample_increments: expected jumps")
-    counts = rng.poisson(spec.intensity * dt, size=n)
+def _compound_poisson(rng, rate, n, jumps):
+    """Sums over n cells of Poisson(rate) many jumps each: the counts of all
+    cells first, then jumps(total) draws the sizes in cell order."""
+    check_budget(rate * n, "sample_increments: expected jumps")
+    counts = rng.poisson(rate, size=n)
     total = int(counts.sum())
     out = np.zeros(n)
-    if total == 0:
-        return out
-    jumps = spec.jump_law.sample(rng, total)
-    idx = np.repeat(np.arange(n), counts)
-    np.add.at(out, idx, jumps)
+    if total:
+        np.add.at(out, np.repeat(np.arange(n), counts), jumps(total))
     return out
 
 
@@ -288,15 +287,8 @@ def _tempered_stable_increments(spec, dt, n, rng):
     eps = min(eps, 1.0 / lam)
     # rate of jumps with |x| > eps: 2c int_eps^inf x^{-1-a} e^{-lam x} dx
     big_rate = 2.0 * c * lam ** a * float(_upper_gamma(-a, lam * eps))
-    check_budget(big_rate * dt * n, "sample_increments: expected jumps")
-    counts = rng.poisson(big_rate * dt, size=n)
-    total = int(counts.sum())
-    out = np.zeros(n)
-    if total:
-        sizes = _truncated_jump_sizes(rng, a, lam, eps, total)
-        signs = 2.0 * rng.integers(0, 2, size=total) - 1.0
-        idx = np.repeat(np.arange(n), counts)
-        np.add.at(out, idx, signs * sizes)
+    out = _compound_poisson(rng, big_rate * dt, n, lambda k: (
+        _truncated_jump_sizes(rng, a, lam, eps, k) * (2.0 * rng.integers(0, 2, size=k) - 1.0)))
     # variance of jumps below the cutoff (both sides)
     small_var = 2.0 * c * lam ** (a - 2.0) * float(_sp.gamma(2.0 - a) * _sp.gammainc(2.0 - a, lam * eps))
     out += rng.normal(0.0, np.sqrt(small_var * dt), size=n)
@@ -312,7 +304,8 @@ def sample_increments(spec, grid: SampleGrid, seed: int, stream: int = 0) -> np.
     rng = _rng_for(seed, stream)
     dt, n = grid.dx, grid.n_cells
     if isinstance(spec, CompoundPoisson):
-        return _compound_poisson_increments(spec, dt, n, rng)
+        return _compound_poisson(rng, spec.intensity * dt, n,
+                                 lambda k: spec.jump_law.sample(rng, k))
     if isinstance(spec, TemperedStable):
         return _tempered_stable_increments(spec, dt, n, rng)
     if isinstance(spec, GaussianValidation):

@@ -19,18 +19,21 @@ the domain is truncated on the left where the exponential taper makes
 the neglected mass provably small; more than errors.MAX_CELLS fine
 cells raise ToleranceError before any allocation.
 
-The cell averages are written g_bar[k] = c + r[k].  The constant c is
-the kernel's far-lag limit: lam^{-d} Gamma(1+d) for type II, 0 for type I
-and for the smooth regime.  The tempering makes r decay exponentially,
-so it is convolved only up to the first lag K beyond which |r| stays
-below 2^-53 of its peak, and c then enters a path as c (L(t) - L(0)), a
-cumulative sum of the window increments.  When K reaches the n cells,
-nothing is cut and g_bar itself is convolved.
+The smooth regime (d > 1/2) is the same sum with another quadrature of
+the kernel window: the means of its values at the two cell edges, which
+is the trapezoid rule over the inner process Z of simulate_smooth_regime.
+
+The kernel weights are written g_bar[k] = c + r[k].  The constant c is
+the kernel's far-lag limit: lam^{-d} Gamma(1+d) for type II, 0 for type
+I.  The tempering makes r decay exponentially, so it is convolved only
+up to the first lag K beyond which |r| stays below 2^-53 of its peak
+(K = n when nothing is cut), and c always enters a path as
+c (L(t) - L(0)), a cumulative sum of the window increments.
 
 With n_hist history and n_fine window cells (n = n_hist + n_fine), a
-path reads the convolution only at indices n_hist - 1 onwards: every
-refine-th one, or every one for the smooth regime.  Those lags are
-computed by one of two routes, chosen per call by cost:
+path reads the convolution only at every refine-th index from n_hist - 1
+on.  Those lags are computed by one of two routes, chosen per call by
+cost:
   * direct sums of K-wide windows of the increments against the reversed
     r, or of the increments against the rows of the reversed kernel when
     nothing is cut (np.einsum, no BLAS), when (lags read + 1) * K is below
@@ -149,54 +152,54 @@ def truncation_width(params: TemperedParams, tol: float = 1e-10) -> float:
 
 
 def _cell_averages(kind, d, lam, dx, start, stop, smooth=False):
-    """Averages of the kernel window over the cells [p dx, (p+1) dx],
-    p = start..stop-1, as (c, r): the far-lag limit c and r = g_bar - c.
-    The window is w for type I and w + lam W for type II; with smooth, the
-    smooth regime's inner kernel w' or (w + lam W)' = d u^{d-1} e^{-lam u}.
+    """Kernel weights of the cells [p dx, (p+1) dx], p = start..stop-1, as
+    (c, r): the window's far-lag limit c and r = weights - c.  The window G
+    is w for type I (c = 0) and w + lam W for type II (c = lam^{-d}
+    Gamma(1+d)).  The weights are the cell averages of G, or with smooth the
+    means (G(p dx) + G((p+1) dx)) / 2 of its edge values.
 
     Each average is a difference of an antiderivative at the cell edges.
     Near the origin (lam u < 1/2) the antiderivatives are the growing W,
     w + lam W and int_0^u W = u W(u) - lam^{-d-2} gamma_lower(d+2, lam u);
     beyond, the ones that decay with the lag, so far cells do not lose
     digits to cancellation: W - W(inf) = -lam^{-d-1} Gamma(d+1, lam u),
-    w + lam W - c = -d lam^{-d} Gamma(d, lam u) with c = lam^{-d} Gamma(1+d),
-    and its integral by int Gamma(d, lam u) du = u Gamma(d, lam u) -
-    Gamma(d+1, lam u) / lam = ((lam u - d) Gamma(d, lam u) - (lam u)^d
-    e^{-lam u}) / lam.  c is 0 but for type II outside the smooth regime."""
+    w + lam W - c = -d lam^{-d} Gamma(d, lam u), and its integral by
+    int Gamma(d, lam u) du = u Gamma(d, lam u) - Gamma(d+1, lam u) / lam =
+    ((lam u - d) Gamma(d, lam u) - (lam u)^d e^{-lam u}) / lam.  The edge
+    values of type II take G - c from the same two forms."""
     edges = dx * np.arange(start, stop + 1)
     if smooth and kind == "TFLP1":
-        return 0.0, np.diff(_w(edges, d, lam)) / dx
+        G = _w(edges, d, lam)
+        return 0.0, 0.5 * (G[1:] + G[:-1])
     split = min(max(int(np.ceil(0.5 / (lam * dx))), start), stop) - start
     u, x = edges[:split + 1], lam * edges[split:]
-    c = 0.0
     if kind == "TFLP1":
         near = np.diff(_w_antideriv(u, d, lam)) / dx
         far = -lam ** (-d - 1.0) * upper_gamma(d + 1.0, x)
-    elif smooth:
-        near = np.diff(_w(u, d, lam) + lam * _w_antideriv(u, d, lam)) / dx
-        far = -d * lam ** -d * upper_gamma(d, x)
-    else:
-        c = lam ** -d * gamma_fn(1.0 + d)
-        W = _w_antideriv(u, d, lam)
-        WW = u * W - lam ** (-d - 2.0) * lower_gamma(d + 2.0, lam * u)
-        near = np.diff(W) / dx + lam * np.diff(WW) / dx - c
-        far = -d * lam ** (-d - 1.0) * ((x - d) * upper_gamma(d, x) - x ** d * np.exp(-x))
+        return 0.0, np.concatenate((near, np.diff(far) / dx))
+    c = lam ** -d * gamma_fn(1.0 + d)
+    W = _w_antideriv(u, d, lam)
+    gamma_d = upper_gamma(d, x)
+    if smooth:
+        G = np.concatenate(((_w(u, d, lam) + lam * W - c)[:-1], -d * lam ** -d * gamma_d))
+        return c, 0.5 * (G[1:] + G[:-1])
+    WW = u * W - lam ** (-d - 2.0) * lower_gamma(d + 2.0, lam * u)
+    near = np.diff(W) / dx + lam * np.diff(WW) / dx - c
+    far = -d * lam ** (-d - 1.0) * ((x - d) * gamma_d - x ** d * np.exp(-x))
     return c, np.concatenate((near, np.diff(far) / dx))
 
 
 def _kernel_cells(kind, params, dt, n, smooth=False):
     """(c, r[:K]) of _cell_averages over the first n cells, cut at the first
-    lag K beyond which |r| stays below 2^-53 of its peak, or (0, g_bar)
-    when K = n.  Past the truncation width R(tol), |r(u)| <= a u^max(d,0)
-    e^{-lam u} <= a tol with a = 1 (type II: |d| lam^{-d} Gamma(d, lam u) is
-    below w(u) there), or lam + d for the smooth regime's w'.  So the cells
-    up to R(2^-53 peak / a) hold every lag above the threshold, and the peak
-    lies well inside R(2^-53 / a), where the first pass stops."""
+    lag K beyond which |r| stays below 2^-53 of its peak.  Past the
+    truncation width R(tol), |r(u)| <= u^max(d,0) e^{-lam u} <= tol (type
+    II: |d| lam^{-d} Gamma(d, lam u) is below w(u) there).  So the cells up
+    to R(2^-53 peak) hold every lag above the threshold, and the peak lies
+    well inside R(2^-53), where the first pass stops."""
     d, lam = params.d, params.lam
-    a = lam + d if smooth else 1.0
 
     def reach(peak):
-        return min(n, int(np.ceil(truncation_width(params, 2.0 ** -53 * peak / a) / dt)))
+        return min(n, int(np.ceil(truncation_width(params, 2.0 ** -53 * peak) / dt)))
 
     c, r = _cell_averages(kind, d, lam, dt, 0, reach(1.0), smooth)
     peak = np.max(np.abs(r))
@@ -204,9 +207,6 @@ def _kernel_cells(kind, params, dt, n, smooth=False):
     if stop > len(r):
         r = np.concatenate((r, _cell_averages(kind, d, lam, dt, len(r), stop, smooth)[1]))
     K = np.flatnonzero(np.abs(r) >= 2.0 ** -53 * peak)[-1] + 1
-    if K == n:
-        # nothing is cut: c rides in the kernel, as g_bar
-        return 0.0, c + r
     return c, r[:K]
 
 
@@ -274,28 +274,22 @@ def _simulate_streams(kind, params, grid, driver, trunc_width, seed, refine,
                       streams, smooth=False):
     """Paths of the given RNG streams, one row each, from one kernel
     spectrum; returns the (len(streams), n_points) array and the
-    truncation width.  smooth selects simulate_smooth_regime's route."""
+    truncation width.  smooth selects the edge-mean kernel weights."""
     R, dt, n_hist, n_fine, fine = _prepare(kind, params, grid, trunc_width, refine)
     n = n_hist + n_fine
-    # the smooth route reads Z at every fine lag, the direct one S at every
-    # refine-th; r is a temporary: only its spectrum or reversed copy stays
+    # r is a temporary: only its spectrum or reversed copy stays
     c, r = _kernel_cells(kind, params, dt, n, smooth)
-    read = _lag_reader(r, n, n_hist, 1 if smooth else refine)
+    read = _lag_reader(r, n, n_hist, refine)
     out = np.empty((len(streams), grid.n_cells + 1))
     for row, stream in zip(out, streams):
         dL = sample_increments(driver, fine, seed, stream=stream)
+        # conv[m] + c sum_{j<=m} dL[j] ~ int G(edge_{m+1} - x) dL(x); the
+        # kernel is G(t-x) - G(-x), so S(t) is a difference of two lags
+        # plus c (L(t) - L(0))
         conv = read(dL)
-        if smooth:
-            # conv is Z(s) at s = 0, dt, ..., t_max, integrated by the trapezoid rule
-            integral = np.cumsum(0.5 * (conv[1:] + conv[:-1]) * dt)
-            row[:] = np.concatenate(([0.0], integral))[::refine]
-        else:
-            # conv[m] + c sum_{j<=m} dL[j] ~ int G(edge_{m+1} - x) dL(x); the
-            # kernel is G(t-x) - G(-x), so S(t) is a difference of two lags
-            # plus c (L(t) - L(0))
-            row[:] = conv - conv[0]
-            if c:
-                row[1:] += c * np.cumsum(dL[n_hist:])[refine - 1::refine]
+        row[:] = conv - conv[0]
+        if c:
+            row[1:] += c * np.cumsum(dL[n_hist:])[refine - 1::refine]
     out /= gamma_fn(1.0 + params.d)
     out[:, 0] = 0.0
     return out, R
@@ -339,11 +333,12 @@ def simulate_smooth_regime(params: TemperedParams, obs_grid: SampleGrid,
 
     For d > 1/2 both processes are time integrals of a stationary inner
     moving average Z: S(t) = (1/Gamma(1+d)) int_0^t Z(s) ds with inner
-    kernel w'(u) = d u^{d-1} e^{-lam u} - lam u^d e^{-lam u} for type I
-    and d u^{d-1} e^{-lam u} for type II.  The inner process is computed
-    by the same exact cell-average convolution and the outer integral by
-    the trapezoid rule on the fine grid; with the same seed it agrees
-    pathwise with the direct simulators up to O(dt).
+    kernel G', G = w for type I and w + lam W for type II.  The trapezoid
+    rule for this integral on the fine grid, over the exact cell averages
+    of G', telescopes to the direct simulators' convolution with the means
+    (G(k dt) + G((k+1) dt)) / 2 of the window's edge values in place of its
+    cell averages; with the same seed it agrees pathwise with the direct
+    simulators up to O(dt).
     """
     if not params.d > 0.5:
         raise ValueError("simulate_smooth_regime: requires d > 1/2")

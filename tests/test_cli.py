@@ -177,7 +177,11 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
             ([*simulate, "--alpha", "1.4"], 2),
             # tempered-stable drivers with alpha < 1 also split their cells
             # into sub-increments (one more)
-            ([*simulate, "--alpha", "0.7"], 3)):
+            ([*simulate, "--alpha", "0.7"], 3),
+            # type II adds its far-lag constant through the cumulative
+            # increments also when nothing is cut (one more)
+            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 3),
+            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 4)):
         assert run([*argv, "--out", out]) == 0
         first = out.read_bytes()
         payload = json.loads(manifest.read_text())
@@ -376,6 +380,8 @@ def test_sub_step_budget_bounds_time_on_short_grids(tmp_path, capsys):
     ("rerun {tmp}/m.json", {"m.json": json.dumps({"command": "analytic", "config": {
         "curve": "cov1", "d": 0.3, "lam": 1.0, "el2": None, "range": "0:3:1",
         "out": "x.csv"}})}, 2),
+    # the asymptotic envelope h^(d-1) e^(-lam h) is only defined for h > 0
+    ("analytic acvf2band --d 0.35 --lambda 0.05 --range 0:20:1 --out {tmp}/x.csv", {}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, code):
     for name, text in files.items():

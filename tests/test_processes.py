@@ -203,9 +203,9 @@ def _full_cells(kind, p, dt, n, smooth=False):
 
 def _reference_path(kind, p, g, driver, seed, stream, refine, smooth=False,
                     route="direct", trunc_width=0.0):
-    """One path by a written-out recipe: fresh increments, the cell averages
-    c + r over all n cells, r cut after its last lag above 2^-53 of its
-    peak (c folded back into r when that lag is the last cell), then the
+    """One path by a written-out recipe: fresh increments, the kernel
+    weights c + r over all n cells (cell averages, or edge means with
+    smooth), r cut after its last lag above 2^-53 of its peak, then the
     convolution with r at the read lags, plus c times the cumulative window
     increments, by route: "direct" sums over dense K-wide rows of the
     increments, or over dense kernel rows when nothing is cut (np.einsum),
@@ -218,24 +218,22 @@ def _reference_path(kind, p, g, driver, seed, stream, refine, smooth=False,
     n = n_hist + n_fine
     dL = sample_increments(driver, SampleGrid(-n_hist * dt, g.x_max, n), seed,
                            stream=stream)
-    lags = refine * np.arange(g.n_cells + 1)
     c, r = _full_cells(kind, p, dt, n, smooth)
-    step = 1 if smooth else refine
     if route == "full":
-        conv = fftconvolve(dL, c + r)[n_hist - 1 + np.arange(0, n_fine + 1, step)]
+        conv = fftconvolve(dL, c + r)[n_hist - 1 + np.arange(0, n_fine + 1, refine)]
     else:
         K = np.flatnonzero(np.abs(r) >= 2.0 ** -53 * np.max(np.abs(r)))[-1] + 1
-        c, r = (0.0, c + r) if K == n else (c, r[:K])
+        r = r[:K]
         # the increments from index n_hist - K on, zeros before index 0
         x = np.concatenate((np.zeros(max(K - n_hist, 0)), dL[max(n_hist - K, 0):]))
         if route == "direct" and K == n:
             # dense rows of the kernel against all of dL
-            rows = np.zeros((n_fine // step + 1, n))
-            for row, m in zip(rows, range(n_hist - 1, n, step)):
+            rows = np.zeros((n_fine // refine + 1, n))
+            for row, m in zip(rows, range(n_hist - 1, n, refine)):
                 row[:m + 1] = r[m::-1]
             conv = np.einsum("ij,j->i", rows, dL)
         elif route == "direct":
-            rows = np.array([x[i:i + K] for i in range(0, n_fine + 1, step)])
+            rows = np.array([x[i:i + K] for i in range(0, n_fine + 1, refine)])
             conv = np.einsum("ij,j->i", rows, r[::-1].copy())
         else:
             nfft = next_fast_len(K + min(n_fine, 3 * K), real=True)
@@ -244,11 +242,8 @@ def _reference_path(kind, p, g, driver, seed, stream, refine, smooth=False,
             spectrum = rfft(r, nfft)
             blocks = [irfft(rfft(x[b:b + nfft]) * spectrum, nfft)[K - 1:]
                       for b in range(0, n_fine + 1, hop)]
-            conv = np.concatenate(blocks)[:n_fine + 1:step]
-    if smooth:
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (conv[1:] + conv[:-1]) * dt)))
-        values = cum[lags] / gamma_fn(1.0 + p.d)
-    elif route == "full":
+            conv = np.concatenate(blocks)[:n_fine + 1:refine]
+    if route == "full":
         values = (conv - conv[0]) / gamma_fn(1.0 + p.d)
     else:
         values = conv - conv[0]
@@ -299,20 +294,37 @@ def test_simulators_are_bit_identical_to_reference_recipe(d, lam, g, trunc, monk
             assert np.max(np.abs(smooth.values - full)) <= 1e-13 * np.max(np.abs(full))
 
 
+def _inner_cells(kind, p, dt, n):
+    """Cell averages of the smooth regime's inner kernel G' over n cells:
+    differences of G at the cell edges over dt, G = w for type I and
+    w + lam W - c for type II, that from -d lam^{-d} Gamma(d, lam u) where
+    lam u >= 1/2."""
+    d, lam = p.d, p.lam
+    u = dt * np.arange(n + 1)
+    if kind == "TFLP1":
+        G = _w(u, d, lam)
+    else:
+        near = _w(u, d, lam) + lam * _w_antideriv(u, d, lam) - lam ** -d * gamma_fn(1.0 + d)
+        G = np.where(lam * u < 0.5, near, -d * lam ** -d * upper_gamma(d, lam * u))
+    return np.diff(G) / dt
+
+
 def _convolve_oracle(kind, p, g, driver, seed, refine, smooth=False, trunc_width=0.0):
     """S on g from the full np.convolve of the increments with the uncut
-    cell averages c + r."""
+    cell averages c + r; with smooth, from the smooth regime's defining
+    route: the inner process Z of the cell averages of G', integrated by
+    the trapezoid rule on the fine grid."""
     dt = g.dx / refine
     n_hist = int(np.ceil((trunc_width or truncation_width(p)) / dt))
     n = n_hist + g.n_cells * refine
     dL = sample_increments(driver, SampleGrid(-n_hist * dt, g.x_max, n), seed)
-    c, r = _full_cells(kind, p, dt, n, smooth)
-    conv = np.convolve(dL, c + r)
     lags = refine * np.arange(g.n_cells + 1)
     if smooth:
-        Z = conv[n_hist - 1:n]
+        Z = np.convolve(dL, _inner_cells(kind, p, dt, n))[n_hist - 1:n]
         values = np.concatenate(([0.0], np.cumsum(0.5 * (Z[1:] + Z[:-1]) * dt)))[lags]
     else:
+        c, r = _full_cells(kind, p, dt, n)
+        conv = np.convolve(dL, c + r)
         values = conv[n_hist - 1 + lags] - conv[n_hist - 1]
     return values / gamma_fn(1.0 + p.d)
 
@@ -326,16 +338,16 @@ _ORACLE_CASES = [
     ("TFLP1", -0.3, 1.0, 16, 4, False, False, 2.0, 0.0),
     ("TFLP1", 0.3, 1.0, 512, 4, False, True, 2.0, 0.0),   # many read lags: FFT
     ("TFLP2", -0.3, 2.0, 512, 2, False, True, 2.0, 0.0),  # is cheaper
-    ("TFLP1", 0.8, 0.5, 16, 4, True, True, 2.0, 0.0),     # the smooth regime reads
-    ("TFLP2", 1.3, 1.0, 64, 2, True, True, 2.0, 0.0),     # every fine lag: the FFT,
-    ("TFLP1", 0.8, 2.0, 4, 1, True, False, 2.0, 0.0),     # unless the window is tiny
+    ("TFLP1", 0.8, 0.5, 16, 4, True, False, 2.0, 0.0),    # the smooth regime, against
+    ("TFLP2", 1.3, 1.0, 64, 2, True, True, 2.0, 0.0),     # the trapezoid rule over its
+    ("TFLP1", 0.8, 2.0, 4, 1, True, False, 2.0, 0.0),     # inner process
     # long windows, at least 8 K cells, over a kernel cut at K < n
     ("TFLP1", 0.3, 2.0, 800, 1, False, 4, 200.0, 0.0),
     ("TFLP1", -0.3, 2.0, 200, 4, False, 0, 200.0, 0.0),
     ("TFLP2", 0.3, 2.0, 200, 4, False, 0, 200.0, 60.0),
     ("TFLP2", 0.3, 2.0, 800, 1, False, 4, 200.0, 60.0),
     ("TFLP2", -0.3, 2.0, 800, 1, False, 5, 200.0, 0.0),
-    ("TFLP1", 0.8, 2.0, 200, 4, True, 4, 200.0, 0.0),
+    ("TFLP1", 0.8, 2.0, 200, 4, True, 0, 200.0, 0.0),
     ("TFLP2", 1.3, 2.0, 400, 2, True, 4, 200.0, 0.0),
 ]
 
@@ -395,24 +407,25 @@ _FAR_LAGS = [0, 1, 2, 3, 5, 8, 9, 10, 11, 13, 16, 20, 25, 28, 32, 40, 50, 64, 10
     ("TFLP2", 1.3, 0.05, 1.0, True, None),
 ])
 def test_cell_averages_match_mpmath_at_far_lags(kind, d, lam, dx, smooth, rtol):
-    # quadrature of the defining integrands at 30 digits.  Type II tends to
-    # its constant c, which the far lags once reached only through a
-    # difference of values that grow with the lag: relative errors of 3e-13
-    # at lag 5000 and 3e-12 at lag 1e5 in the first setting.  Every r stays
-    # within 2e-13 of its peak (scipy's incomplete gammas, good to about
-    # 5e-15 near lam u = 1.6, lose a factor 1 / (lam dx) in the differences)
+    # quadrature of the defining integrands at 30 digits, or with smooth
+    # their edge values.  Type II tends to its constant c, which the far lags
+    # once reached only through a difference of values that grow with the
+    # lag: relative errors of 3e-13 at lag 5000 and 3e-12 at lag 1e5 in the
+    # first setting.  Every r stays within 2e-13 of its peak (scipy's
+    # incomplete gammas, good to about 5e-15 near lam u = 1.6, lose a factor
+    # 1 / (lam dx) in the differences)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         D, L, X = mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(dx)
+
+        def g(u):
+            w = u ** D * mpmath.exp(-L * u)
+            return w + L ** -D * mpmath.gammainc(D + 1, 0, L * u) if kind == "TFLP2" else w
         if smooth:
-            def g(u):
-                tail = L * u ** D if kind == "TFLP1" else 0
-                return (D * u ** (D - 1) - tail) * mpmath.exp(-L * u)
+            ref = np.array([float((g(k * X) + g((k + 1) * X)) / 2) for k in _FAR_LAGS])
         else:
-            def g(u):
-                w = u ** D * mpmath.exp(-L * u)
-                return w + L ** -D * mpmath.gammainc(D + 1, 0, L * u) if kind == "TFLP2" else w
-        ref = np.array([float(mpmath.quad(g, [k * X, (k + 1) * X]) / X) for k in _FAR_LAGS])
+            ref = np.array([float(mpmath.quad(g, [k * X, (k + 1) * X]) / X)
+                            for k in _FAR_LAGS])
     c, r = _cell_averages(kind, d, lam, dx, 0, _FAR_LAGS[-1] + 1, smooth)
     got = c + r[_FAR_LAGS]
     assert np.max(np.abs(got - ref)) <= 2e-13 * np.max(np.abs(ref - c))
@@ -436,3 +449,41 @@ def test_kernel_cut_keeps_every_lag_above_rounding(kind, smooth):
         K = np.flatnonzero(np.abs(full) >= 2.0 ** -53 * np.max(np.abs(full)))[-1] + 1
         assert c == c_full and K < n
         np.testing.assert_array_equal(r, full[:K])
+
+
+def test_smooth_regime_matches_30_digit_trapezoid_oracle():
+    # the trapezoid rule over the inner process Z, summed at 30 digits from
+    # the same increments: sum_j dL[j] (kappa[m - j] - kappa[m0 - j]) with
+    # kappa[k] = (G(k dt) + G((k+1) dt)) / 2.  Nothing is cut here, so the
+    # far-lag constant c = lam^{-d} Gamma(1+d), about 1.8e3, enters every
+    # weight; folded into r rather than added through the cumulative
+    # increments it puts 2.5e-13 of max |S| into this path, against 1.3e-14
+    mpmath = pytest.importorskip("mpmath")
+    d, lam, refine = 2.2, 0.05, 2
+    p = TemperedParams(d, lam)
+    g = SampleGrid(0.0, 10.0, 16)
+    dt = g.dx / refine
+    n_hist = int(np.ceil(truncation_width(p) / dt))
+    n = n_hist + g.n_cells * refine
+    assert len(processes._kernel_cells("TFLP2", p, dt, n, smooth=True)[1]) == n
+    dL = sample_increments(CP, SampleGrid(-n_hist * dt, g.x_max, n), 12)
+    jumps = [(j, mpmath.mpf(float(dL[j]))) for j in np.flatnonzero(dL)]
+    with mpmath.workdps(30):
+        D, L, X = mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(dt)
+        G = {}
+
+        def kappa(k):
+            for i in (k, k + 1):
+                if i not in G:
+                    G[i] = ((i * X) ** D * mpmath.exp(-L * i * X)
+                            + L ** -D * mpmath.gammainc(D + 1, 0, L * i * X))
+            return (G[k] + G[k + 1]) / 2
+
+        def conv(m):
+            return mpmath.fsum(x * kappa(m - j) for j, x in jumps if j <= m)
+        m0 = n_hist - 1
+        base = conv(m0)
+        ref = np.array([float((conv(m0 + refine * k) - base) / mpmath.gamma(1 + D))
+                        for k in range(g.n_cells + 1)])
+    got = simulate_smooth_regime(p, g, CP, seed=12, kind="TFLP2", refine=refine).values
+    assert np.max(np.abs(got - ref)) <= 4e-14 * np.max(np.abs(ref))
