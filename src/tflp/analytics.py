@@ -28,7 +28,10 @@ K = 1/(sqrt(pi) Gamma(d) (2 lam)^mu), and
           = lam^{-mu-1} 2^{mu-1} sqrt(pi) Gamma(d) S(lam x) (DLMF 10.43.2),
   S(z) = z [K_mu(z) L_{mu-1}(z) + L_mu(z) K_{mu-1}(z)] -> 1 (DLMF 10.43.19),
 
-with L the modified Struve function and B the coefficient in G.
+with L the modified Struve function and B the coefficient in G.  K H is
+analytic in d, so this one form holds on the whole type II domain
+d > -1/2, d != 0 (K changes sign with Gamma(d)); at d = 0, where
+S^II = L, the type II functions raise ParameterError.
 
 Spectral densities are returned exactly as displayed, normalized to
 E[L(1)^2] = 1:
@@ -165,11 +168,12 @@ def _big_h(d: float, lam: float, x: float) -> float:
 
 
 def cov_tflp2(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> float:
-    """Cov[S^II(s), S^II(t)] = EL2 K [H(s) + H(t) - H(|t-s|)] for d > 0, with
-    H = x Phi0 - Phi1 in closed form (module docstring; DLMF 10.29.4, 10.43.2)."""
+    """Cov[S^II(s), S^II(t)] = EL2 K [H(s) + H(t) - H(|t-s|)] for d > -1/2,
+    d != 0, with H = x Phi0 - Phi1 in closed form (module docstring; DLMF
+    10.29.4, 10.43.2)."""
     d, lam = params.d, params.lam
-    if not d > 0:
-        raise ValueError("cov_tflp2: closed form requires d > 0")
+    if d == 0.0:
+        raise ParameterError("cov_tflp2: d = 0 is not admitted for type II")
     s, t = float(s), float(t)
     if s == 0.0 or t == 0.0:
         return 0.0
@@ -251,41 +255,34 @@ def _acvf_tfln2_bessel(params: TemperedParams, h: float) -> float:
 
 
 def _acvf_tfln2_fourier(params: TemperedParams, h: float) -> float:
-    """Type II noise acvf by numerical inversion of the spectral display,
-    gamma2(h) = 2 int_R e^{i omega h} h2(omega) d omega; valid for all
-    d > -1/2 but limited to absolute quadrature accuracy at large lags."""
+    """Type II noise acvf by inversion of the spectral display h2 = (1 - cos w) g,
+    gamma2(h) = 4 int_0^inf cos(w h) h2(w) dw: quadrature on [0, pi], and on
+    [pi, inf) cos(w h) (1 - cos w) as three cosines against g by quad's
+    Fourier-integral rule (weight "cos").  No cut-off: exact for all d > -1/2."""
     from scipy import integrate as _integrate
-    h = abs(float(h))
-    cutoff = 500.0
-
-    def f(w):
-        return 2.0 * float(spec_density_tfln2(params, w))
-
-    if h == 0.0:
-        val, _ = _integrate.quad(f, 0.0, cutoff, limit=800)
-    else:
-        val, _ = _integrate.quad(f, 0.0, cutoff, weight="cos", wvar=h,
-                                 limit=800, epsabs=1e-12)
-    return 2.0 * val
+    d, lam, h = params.d, params.lam, abs(float(h))
+    h2 = lambda w: spec_density_tfln2(params, w)
+    g = lambda w: 1.0 / (2.0 * np.pi * w * w * (lam * lam + w * w) ** d)
+    parts = ((1.0, h2, 0.0, np.pi, h), (1.0, g, np.pi, np.inf, h),
+             (-0.5, g, np.pi, np.inf, h + 1.0), (-0.5, g, np.pi, np.inf, abs(h - 1.0)))
+    return 4.0 * sum(c * _integrate.quad(
+        f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200,
+        **({"weight": "cos", "wvar": omega} if omega else {}))[0]
+        for c, f, a, b, omega in parts)
 
 
 def acvf_tfln2(params: TemperedParams, h: float, EL2: float = 1.0,
-               method: str = "auto") -> float:
-    """Exact autocovariance of the unit-lag type II noise.
-
-    method 'bessel' (d > 0 only) takes K [H(h+1) - 2 H(h) + H(|h-1|)], H as
-    in cov_tflp2 (DLMF 10.29.4, 10.43.2), or integrates the kernel where that
-    difference cancels; 'fourier' inverts the spectral display and covers
-    all d > -1/2; 'auto' picks bessel when admissible.  The two routes are
-    independent and cross-checked in the test suite.
-    """
-    if method == "auto":
-        method = "bessel" if params.d > 0 else "fourier"
-    if method == "bessel":
-        return EL2 * _acvf_tfln2_bessel(params, h)
-    if method == "fourier":
-        return EL2 * _acvf_tfln2_fourier(params, h)
-    raise ValueError("acvf_tfln2: method must be 'auto', 'bessel' or 'fourier'")
+               method: str = "bessel") -> float:
+    """Exact autocovariance of the unit-lag type II noise, d > -1/2, d != 0:
+    K [H(h+1) - 2 H(h) + H(|h-1|)], H as in cov_tflp2, or the kernel integral by
+    quadrature where that difference cancels.  method 'fourier' inverts the
+    spectral display instead, the independent reference route."""
+    if params.d == 0.0:
+        raise ParameterError("acvf_tfln2: d = 0 is not admitted for type II")
+    routes = {"bessel": _acvf_tfln2_bessel, "fourier": _acvf_tfln2_fourier}
+    if method not in routes:
+        raise ValueError("acvf_tfln2: method must be 'bessel' or 'fourier'")
+    return EL2 * routes[method](params, h)
 
 
 @lru_cache(maxsize=64)
@@ -297,8 +294,9 @@ def _band_constants(d: float, lam: float):
     for h in hs:
         g = acvf_tfln2(params, float(h))
         ratios.append(g * np.exp(lam * h) * h ** (1.0 - d))
-    ratios = np.asarray(ratios)
-    return float(ratios.min()) * 0.98, float(ratios.max()) * 1.02
+    lo, hi = float(min(ratios)), float(max(ratios))
+    # widen away from 0: both constants are negative for d < 0 (K ~ 1/Gamma(d))
+    return lo * (0.98 if lo > 0 else 1.02), hi * (1.02 if hi > 0 else 0.98)
 
 
 def acvf_tfln2_asymptotic_band(params: TemperedParams, h: float):

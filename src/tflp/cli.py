@@ -97,7 +97,8 @@ def _write_json(path, payload):
 def _engine(command, config):
     """Version of the numerical route behind a run's bytes; manifests record
     it only when it is not 0, so those of unchanged routes keep their bytes.
-    analytic: per curve, as in _CURVES.  Otherwise the sum of three steps:
+    analytic: per curve, as in _CURVES, 1 more for acvf2 and acvf2band with
+    d < 0 (closed form, no cut spectral inversion).  Otherwise three steps:
     2 for every simulate run (1: the convolution reads only the lags it
     needs; 2: the kernel is cut where it falls below rounding, its far-lag
     constant enters through a cumulative sum, and long windows are convolved
@@ -107,7 +108,8 @@ def _engine(command, config):
     alpha < 1 (cells split into sub-increments).  So simulate is 2 or 3 for
     type I and 3 or 4 for type II; verify 0 or 1."""
     if command == "analytic":
-        return _CURVES.get(config["curve"], (0,))[0]
+        return _CURVES.get(config["curve"], (0,))[0] + int(
+            config["curve"] in ("acvf2", "acvf2band") and config["d"] < 0)
     simulate = command == "simulate"
     return (2 * simulate + int(simulate and config["kind"].endswith("2"))
             + int(config.get("driver") == "tstable" and config["alpha"] < 1.0))
@@ -338,11 +340,11 @@ def _verify_spectra(cfg, table):
     osc, _ = _si.quad(g, 0.0, np.inf, weight="cos", wvar=1.0)
     _check(table, "2*int h1 = gamma1(0)", 4.0 * (flat - osc),
            analytics.acvf_tfln1(p, 0.0), 1e-5)
-    p2 = TemperedParams(0.4, 0.5)
-    for h in (1.5, 5.0):
+    for d, h in ((0.4, 1.5), (-0.3, 5.0)):
+        p2 = TemperedParams(d, 0.5)
         b = analytics.acvf_tfln2(p2, h, method="bessel")
         f = analytics.acvf_tfln2(p2, h, method="fourier")
-        _check(table, f"gamma2 dual route h={h}", b, f, 1e-5 * abs(b))
+        _check(table, f"gamma2 dual route d={d} h={h}", b, f, 1e-5 * abs(b))
 
 
 _SUITES = {

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from scipy.special import kv
 
 import tflp
-from tflp.processes import TemperedParams, kernel_g1, kernel_g2
+from tflp.processes import TemperedParams
+from tflp.errors import ParameterError
 from tflp.special import gamma_fn
 from tflp.analytics import (
     acvf_tfln1, acvf_tfln1_asymptotic, acvf_tfln2, acvf_tfln2_asymptotic_band,
@@ -20,26 +21,39 @@ from tflp.analytics import (
 )
 
 
-def _acvf1_quadrature(p, h):
-    """EL2 = 1 oracle: int [g1(h+1,x) - g1(h,x)][g1(1,x) - g1(0,x)] dx."""
-    def f(x):
-        a = kernel_g1(p, h + 1.0, x) - kernel_g1(p, h, x)
-        b = kernel_g1(p, 1.0, x) - kernel_g1(p, 0.0, x)
-        return a * b
-    pts = sorted({-60.0 / p.lam, 0.0, 1.0, h, h + 1.0})
+def _g1_pair_quadrature(p, a, b):
+    """EL2 = 1 oracle int A(x) B(x) dx / Gamma(1+d)^2 for the increment kernels
+    A = g1(a1, .) - g1(a0, .) and B = g1(b1, .) - g1(b0, .), where
+    g1(t, x) = w(t - x) - w(-x), w(u) = u_+^d e^{-lam u}.  Each piece ends at a
+    kink, approached from the left; u is the distance to it, so a w(u) ~ u^d
+    that is singular there (d < 0) is exact in u, and goes with the other
+    factor's into quad's algebraic weight u^{2d}, leaving a bounded integrand."""
+    d, lam = p.d, p.lam
+    w = lambda u: u ** d * np.exp(-lam * u) if u > 0.0 else 0.0
+    pts = sorted({-60.0 / lam, -1.0 / lam, *a, *b})
     total = 0.0
-    for a, b in zip(pts, pts[1:]):
-        total += quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
-    return total / gamma_fn(1.0 + p.d) ** 2
+    for lo, hi in zip(pts, pts[1:]):
+        power = 2.0 * d if d < 0 and hi in (*a, *b) else 0.0
+
+        def f(u):
+            if u == 0.0:  # only reached with power < 0: the u^d coefficients
+                return ((a[1] == hi) - (a[0] == hi)) * ((b[1] == hi) - (b[0] == hi))
+            return ((w(a[1] - hi + u) - w(a[0] - hi + u))
+                    * (w(b[1] - hi + u) - w(b[0] - hi + u)) / u ** power)
+        weight = {"weight": "alg", "wvar": (power, 0.0)} if power else {}
+        total += quad(f, 0.0, hi - lo, epsabs=0.0, epsrel=1e-12, limit=400,
+                      **weight)[0]
+    return total / gamma_fn(1.0 + d) ** 2
+
+
+def _acvf1_quadrature(p, h):
+    """Oracle: int [g1(h+1,x) - g1(h,x)][g1(1,x) - g1(0,x)] dx / Gamma(1+d)^2."""
+    return _g1_pair_quadrature(p, (h, h + 1.0), (0.0, 1.0))
 
 
 def _cov1_variance_quadrature(p, t):
-    """Var S^I(t) = int g1(t, x)^2 dx / Gamma(1+d)^2 (EL2 = 1)."""
-    f = lambda x: kernel_g1(p, t, x) ** 2
-    total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=400)[0]
-                for a, b in ((-60.0 / p.lam, -1.0 / p.lam), (-1.0 / p.lam, 0.0),
-                             (0.0, t)))
-    return total / gamma_fn(1.0 + p.d) ** 2
+    """Oracle: Var S^I(t) = int g1(t, x)^2 dx / Gamma(1+d)^2."""
+    return _g1_pair_quadrature(p, (0.0, t), (0.0, t))
 
 
 def _bessel_kernel_quadrature(p, w, a, b, kinks=()):
@@ -111,7 +125,7 @@ def test_cov_matrices_positive_semidefinite():
         p = TemperedParams(d, 1.0)
         M = np.array([[cov_tflp1(p, s, t) for t in ts] for s in ts])
         assert np.min(np.linalg.eigvalsh(M)) >= -1e-10
-    for d in (0.2, 0.45):
+    for d in (-0.3, 0.2, 0.45):
         p = TemperedParams(d, 1.0)
         M = np.array([[cov_tflp2(p, s, t) for t in ts] for s in ts])
         assert np.min(np.linalg.eigvalsh(M)) >= -1e-10
@@ -210,32 +224,50 @@ def test_acvf_tfln1_negative_tail_and_asymptote():
 
 
 def test_acvf_tfln2_route_agreement():
-    p = TemperedParams(0.3, 0.5)
-    for h in (0.0, 1.0, 4.0, 8.0):
-        a = acvf_tfln2(p, h, method="bessel")
-        b = acvf_tfln2(p, h, method="fourier")
-        assert abs(a - b) < 5e-5 * max(1.0, abs(a)), h
+    # the spectral route keeps its whole tail, so it is exact for d < 0 too
+    for d in (-0.49, -0.3, 0.3):
+        p = TemperedParams(d, 0.5)
+        for h in (0.0, 1.0, 4.0, 8.0):
+            a = acvf_tfln2(p, h, method="bessel")
+            b = acvf_tfln2(p, h, method="fourier")
+            assert abs(a - b) < 1e-10 * max(1.0, abs(a)), (d, h)
+    with pytest.raises(ParameterError):
+        acvf_tfln2(TemperedParams(0.0, 0.5), 1.0)
 
 
 def test_acvf_tfln2_asymptotic_band_sandwich():
-    p = TemperedParams(0.3, 0.5)
-    for h in np.linspace(10.0, 24.0, 8):
-        lo, hi = acvf_tfln2_asymptotic_band(p, float(h))
-        val = acvf_tfln2(p, float(h))
-        assert lo <= val <= hi, h
-        assert hi / lo < 10.0
+    # for d < 0 both constants are negative, and the band still widens
+    for d in (0.3, -0.3):
+        p = TemperedParams(d, 0.5)
+        for h in np.linspace(10.0, 24.0, 8):
+            lo, hi = acvf_tfln2_asymptotic_band(p, float(h))
+            val = acvf_tfln2(p, float(h))
+            assert lo <= val <= hi, (d, h)
+            assert 0.1 < hi / lo < 10.0
 
 
-def _cosine_inversion(spec, g, h):
-    """4 int_0^inf cos(w h) spec(w) dw for spec(w) = (1 - cos w) g(w):
-    plain quadrature on [0, pi], then cos(w h) (1 - cos w) split into three
-    cosines, each by quad's Fourier-integral route (weight="cos")."""
-    head = quad(lambda w: np.cos(w * h) * spec(w), 0.0, np.pi)[0]
+def _cosine_inversion(g, h, t=1.0):
+    """4 int_0^inf cos(w h) (1 - cos(w t)) g(w) dw, the acvf at lag h of the
+    increments over t of a process with spectral display (1 - cos w) g(w):
+    plain quadrature on [0, a], a = pi / max(1, h, t), where neither cosine
+    turns over; beyond a, cos(w h) (1 - cos(w t)) split into three cosines,
+    each by quad's cosine-weighted routes on [a, pi] and [pi, inf), so no
+    tail is cut."""
+    a = np.pi / max(1.0, h, t)
+    tol = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
+    head = quad(lambda w: 2.0 * np.cos(w * h) * np.sin(0.5 * w * t) ** 2 * g(w),
+                0.0, a, **tol)[0]
     tail = 0.0
-    for c, omega in ((1.0, h), (-0.5, h + 1.0), (-0.5, abs(h - 1.0))):
+    for c, omega in ((1.0, h), (-0.5, h + t), (-0.5, abs(h - t))):
         weight = {"weight": "cos", "wvar": omega} if omega else {}
-        tail += c * quad(g, np.pi, np.inf, **weight)[0]
+        for lo, hi in ((a, np.pi), (np.pi, np.inf)):
+            tail += c * quad(g, lo, hi, **weight, **tol)[0] if lo < hi else 0.0
     return 4.0 * (head + tail)
+
+
+def _g2_spectral(p):
+    """g of the type II display h2(w) = (1 - cos w) g(w)."""
+    return lambda w: 1.0 / (2.0 * np.pi * w ** 2 * (p.lam ** 2 + w ** 2) ** p.d)
 
 
 def test_spectral_density_inverts_to_acvf():
@@ -244,16 +276,48 @@ def test_spectral_density_inverts_to_acvf():
     cases = (
         (p1, spec_density_tfln1, acvf_tfln1,
          lambda w: 1.0 / (2.0 * np.pi * (p1.lam ** 2 + w ** 2) ** (p1.d + 1.0))),
-        (p2, spec_density_tfln2, acvf_tfln2,
-         lambda w: 1.0 / (2.0 * np.pi * w ** 2 * (p2.lam ** 2 + w ** 2) ** p2.d)),
+        (p2, spec_density_tfln2, acvf_tfln2, _g2_spectral(p2)),
     )
-    w = np.linspace(np.pi, 50.0, 101)
+    w = np.linspace(1e-3, 50.0, 101)
     for p, spec, acvf, g in cases:
-        np.testing.assert_allclose(spec(p, w), (1.0 - np.cos(w)) * g(w),
+        np.testing.assert_allclose(spec(p, w), 2.0 * np.sin(0.5 * w) ** 2 * g(w),
                                    rtol=1e-12, atol=1e-18)
         for h in (0.0, 2.0):
-            ref = _cosine_inversion(lambda w: spec(p, w), g, h)
-            assert abs(acvf(p, h) - ref) < 1e-8
+            assert abs(acvf(p, h) - _cosine_inversion(g, h)) < 1e-8
+
+
+_SWEEP_LAGS = (0.0, 0.5, 1.0, 2.5, 20.0, 200.0)
+
+
+@pytest.mark.parametrize("lam", (0.01, 1.0, 10.0))
+@pytest.mark.parametrize("d", (-0.49, -0.3, -0.05, 0.2, 0.5, 1.3, 3.0))
+def test_analytic_curves_match_oracles_over_the_domain(d, lam):
+    # every analytic curve on d > -1/2 against an independent oracle, to 1e-9
+    # relative or 1e-10 of the variance: quadrature of g1 for type I, of g2
+    # for type II with d > 0, and with d < 0, where |x|^mu K_mu(lam |x|) is
+    # not integrable at 0, the spectral inversion with its exact tail
+    p = TemperedParams(d, lam)
+    if d < 0:
+        cov2_ref = lambda t: _cosine_inversion(_g2_spectral(p), 0.0, t)
+        acvf2_ref = lambda h: _cosine_inversion(_g2_spectral(p), h)
+    else:
+        cov2_ref = lambda t: _cov2_quadrature(p, t, t)
+        acvf2_ref = lambda h: _acvf2_quadrature(p, h)
+    var1, var2 = _acvf1_quadrature(p, 0.0), acvf2_ref(0.0)
+    for x in _SWEEP_LAGS:
+        checks = [("acvf1", acvf_tfln1(p, x), _acvf1_quadrature(p, x), var1),
+                  ("acvf2", acvf_tfln2(p, x), acvf2_ref(x), var2)]
+        if x > 0:  # the covariance curves are variances: relative error only
+            checks += [("cov1", cov_tflp1(p, x, x), _cov1_variance_quadrature(p, x), 0.0),
+                       ("cov2", cov_tflp2(p, x, x), cov2_ref(x), 0.0)]
+        for curve, value, ref, scale in checks:
+            assert abs(value - ref) <= max(1e-9 * abs(ref), 1e-10 * scale), (curve, x)
+    plateau = _cov1_variance_quadrature(p, 60.0 / lam)
+    assert abs(var_limit_tflp1(p) / plateau - 1.0) < 1e-9
+    # the asymptotic band holds the true acvf where it is calibrated
+    for h in (5.0 / lam, 7.3 / lam, 10.0 / lam):
+        lo, hi = acvf_tfln2_asymptotic_band(p, h)
+        assert lo <= acvf2_ref(h) <= hi, h
 
 
 def test_spec_density_tfln2_zero_frequency_limit():

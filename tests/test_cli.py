@@ -171,6 +171,15 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
             # cov2 has a new numerical route (engine 1): the closed-form covariance
             (["analytic", "cov2", "--d", "0.3", "--lambda", "0.5",
               "--range", "0.25:2:0.25"], 1),
+            # cov2 with d < 0 raised before, so it has no older bytes
+            (["analytic", "cov2", "--d", "-0.3", "--lambda", "0.5",
+              "--range", "0.25:2:0.25"], 1),
+            # acvf2 with d < 0 left a cut spectral inversion for the closed
+            # form (one more), and with it the band calibrated on it
+            (["analytic", "acvf2", "--d", "-0.3", "--lambda", "1",
+              "--range", "0:3:1"], 2),
+            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
+              "--range", "5:8:1"], 2),
             # every simulate run convolves only the lags it reads (engine 1),
             # with the kernel cut below rounding and its far-lag constant
             # added through the cumulative increments (engine 2)
@@ -286,7 +295,8 @@ def test_parameter_errors_exit_2(tmp_path):
     assert run(["simulate", "nosuch", "--out", out]) == 2
     assert run(["simulate", "tflp1", "--d", "0.3", "--lambda", "1",
                 "--ensemble", "0", "--out", out]) == 2
-    assert run(["analytic", "cov2", "--d", "-0.2", "--lambda", "1",
+    # type II is defined for d > -1/2 except d = 0, where S^II = L
+    assert run(["analytic", "cov2", "--d", "0", "--lambda", "1",
                 "--out", out]) == 2
     assert run(["estimate", "acvf", "--input", str(tmp_path / "missing.csv"),
                 "--out", out]) == 2
@@ -382,6 +392,8 @@ def test_sub_step_budget_bounds_time_on_short_grids(tmp_path, capsys):
         "out": "x.csv"}})}, 2),
     # the asymptotic envelope h^(d-1) e^(-lam h) is only defined for h > 0
     ("analytic acvf2band --d 0.35 --lambda 0.05 --range 0:20:1 --out {tmp}/x.csv", {}, 2),
+    # type II is not defined at d = 0, where S^II = L
+    ("analytic acvf2 --d 0 --lambda 1 --range 0:3:1 --out {tmp}/x.csv", {}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, code):
     for name, text in files.items():
