@@ -183,10 +183,18 @@ def cov_tflp2(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> f
 
 
 def acvf_tfln1(params: TemperedParams, h: float, EL2: float = 1.0) -> float:
-    """Autocovariance of the unit-lag type I noise, exact via G differences."""
+    """Autocovariance of the unit-lag type I noise, exact via G differences.
+    At far lags, lam (|h| - 1) > 1/2, all three G = A - B f with
+    f(t) = t^nu K_nu(lam t), so the plateau A is dropped from the second
+    difference instead of cancelling in rounding."""
     d, lam = params.d, params.lam
     g = gamma_fn(1.0 + d)
     h = float(h)
+    if lam * (abs(h) - 1.0) > 0.5:
+        h, nu = abs(h), d + 0.5
+        f = [t ** nu * bessel_k(nu, lam * t) for t in (h + 1.0, h, h - 1.0)]
+        # B / (2 Gamma(1+d)^2), B = 2 Gamma(1+d) (2 lam)^{-nu} / sqrt(pi)
+        return -EL2 * (2.0 * lam) ** -nu / (_SQRT_PI * g) * (f[0] - 2.0 * f[1] + f[2])
     return EL2 / (2.0 * g * g) * (
         _big_g(d, lam, h + 1.0) - 2.0 * _big_g(d, lam, h) + _big_g(d, lam, h - 1.0))
 
@@ -196,11 +204,14 @@ def acvf_tfln1_asymptotic(params: TemperedParams, h: float, EL2: float = 1.0) ->
 
     The constant is negative: the noise acvf undershoots zero at large
     lags.  Accurate to the displayed order for lam h large and lam small
-    (the lam^2 factor is the small-lam form of 2 cosh(lam) - 2).
+    (the lam^2 factor is the small-lam form of 2 cosh(lam) - 2); h must
+    be positive.
     """
     d, lam = params.d, params.lam
     C = -EL2 * lam ** 2 / (gamma_fn(d + 1.0) * (2.0 * lam) ** (d + 1.0))
     h = np.asarray(h, dtype=float)
+    if not np.all(h > 0):
+        raise ParameterError("acvf_tfln1_asymptotic: requires lag h > 0")
     out = C * np.exp(-lam * h) * h ** d
     return float(out) if out.ndim == 0 else out
 

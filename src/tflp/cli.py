@@ -99,19 +99,21 @@ def _engine(command, config):
     it only when it is not 0, so those of unchanged routes keep their bytes.
     analytic: per curve, as in _CURVES, 1 more for acvf2 and acvf2band with
     d < 0 (closed form, no cut spectral inversion).  Otherwise three steps:
-    2 for every simulate run (1: the convolution reads only the lags it
+    3 for every simulate run (1: the convolution reads only the lags it
     needs; 2: the kernel is cut where it falls below rounding, its far-lag
     constant enters through a cumulative sum, and long windows are convolved
-    in overlap-save blocks), 1 more for simulate runs of type II (the far-lag
-    constant enters through the cumulative sum also when nothing is cut),
-    and 1 for simulate and verify runs whose tempered-stable driver has
-    alpha < 1 (cells split into sub-increments).  So simulate is 2 or 3 for
-    type I and 3 or 4 for type II; verify 0 or 1."""
+    in overlap-save blocks; 3: direct sums run over windows of the
+    increments also when nothing is cut, which only the kernel built from
+    the config would tell apart), 1 more for simulate runs of type II (the
+    far-lag constant enters through the cumulative sum also when nothing is
+    cut), and 1 for simulate and verify runs whose tempered-stable driver
+    has alpha < 1 (cells split into sub-increments).  So simulate is 3 or 4
+    for type I and 4 or 5 for type II; verify 0 or 1."""
     if command == "analytic":
         return _CURVES.get(config["curve"], (0,))[0] + int(
             config["curve"] in ("acvf2", "acvf2band") and config["d"] < 0)
     simulate = command == "simulate"
-    return (2 * simulate + int(simulate and config["kind"].endswith("2"))
+    return (3 * simulate + int(simulate and config["kind"].endswith("2"))
             + int(config.get("driver") == "tstable" and config["alpha"] < 1.0))
 
 
@@ -203,13 +205,14 @@ def run_simulate(cfg):
 # ---------------------------------------------------------------- analytic
 
 # curve -> (engine, default --range, column names, units, row values after x);
-# analytics functions are looked up at call time.  Engine 1: closed-form H.
+# analytics functions are looked up at call time.  Engine 1: closed-form H
+# (cov2, acvf2, acvf2band); acvf1 with its far-lag plateau cancelled exactly.
 _CURVES = {
     "cov1": (0, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp1(p, t, t, el2)]),
     "cov2": (1, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp2(p, t, t, el2)]),
-    "acvf1": (0, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf1": (1, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln1(p, h, el2)]),
     "acvf2": (1, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln2(p, h, el2)]),

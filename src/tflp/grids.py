@@ -36,14 +36,6 @@ class SampleGrid:
         """Grid points x_k = x_min + k*dx, k = 0..n_cells."""
         return self.x_min + self.dx * np.arange(self.n_cells + 1)
 
-    @property
-    def midpoints(self) -> np.ndarray:
-        """Cell midpoints, one per cell."""
-        return self.x_min + self.dx * (np.arange(self.n_cells) + 0.5)
-
-    def refine(self, factor: int) -> "SampleGrid":
-        return SampleGrid(self.x_min, self.x_max, self.n_cells * factor)
-
 
 @dataclass
 class GridFunction:

@@ -35,9 +35,8 @@ path reads the convolution only at every refine-th index from n_hist - 1
 on.  Those lags are computed by one of two routes, chosen per call by
 cost:
   * direct sums of K-wide windows of the increments against the reversed
-    r, or of the increments against the rows of the reversed kernel when
-    nothing is cut (np.einsum, no BLAS), when (lags read + 1) * K is below
-    _FFT_MACS * blocks * size log2(size): short windows or short kernels;
+    r (np.einsum, no BLAS), when (lags read + 1) * K is below _FFT_MACS *
+    blocks * size log2(size): short windows or short kernels;
   * otherwise an overlap-save FFT over blocks of next_fast_len(size)
     points, size = K + min(n_fine, 3 K): one block, the whole window at
     once, when n_fine <= 3 K, else blocks of about 4 K points.
@@ -233,23 +232,15 @@ def _lag_reader(r, n, n_hist, step):
     """dL -> conv[m] = sum_k r[k] dL[m-k] (dL of length n, k < K = len(r))
     at the indices the simulator reads, m = n_hist - 1, n_hist - 1 + step,
     ..., n - 1.  Only dL[n_hist - K:] enters.  Direct sums over its K-wide
-    windows (over the kernel's rows when K = n) when they cost less than the
-    overlap-save FFT; otherwise blocks of nfft points that step by
-    nfft - K + 1, each giving the lags from its K-th point on."""
+    windows when they cost less than the overlap-save FFT; otherwise blocks
+    of nfft points that step by nfft - K + 1, each giving the lags from its
+    K-th point on."""
     K, n_fine = len(r), n - n_hist
     size = K + min(n_fine, 3 * K)
     nfft = next_fast_len(size, real=True)
     hop = nfft - K + 1
     blocks = -(-(n_fine + 1) // hop)
     direct = (n_fine // step + 2) * K < _FFT_MACS * blocks * size * np.log2(size)
-    if direct and K == n:
-        # nothing is cut: rows of the reversed kernel against all of dL, so
-        # no path is copied; row k, column j: r[n_hist - 1 + k step - j], zero
-        # past the diagonal, overlapping windows of one padded copy
-        padded = np.concatenate((r[::-1], np.zeros(n_fine)))
-        rows = np.lib.stride_tricks.sliding_window_view(padded, n)[n_fine::-step]
-        # einsum's own loop, not BLAS: the sums do not depend on thread counts
-        return lambda x: np.einsum("ij,j->i", rows, x)
     # each path's dL[n_hist - K:] is copied into one buffer (behind zeros
     # when K > n_hist, ahead of zeros that fill the last block), whose
     # windows are views taken once
@@ -264,6 +255,7 @@ def _lag_reader(r, n, n_hist, step):
 
     if direct:
         rev = r[::-1].copy()
+        # einsum's own loop, not BLAS: the sums do not depend on thread counts
         return lambda x: np.einsum("ij,j->i", load(x), rev)
     spectrum = rfft(r, nfft)
     return lambda x: irfft(rfft(load(x), axis=-1) * spectrum, nfft,

@@ -223,6 +223,41 @@ def test_acvf_tfln1_negative_tail_and_asymptote():
     assert abs(approx / exact - 1.0) < 0.1
 
 
+def _acvf1_mpmath(d, lam, h):
+    """gamma1(h) from the G differences of the module docstring in mpmath,
+    with digits to spare over the ~lam h / ln 10 that the plateau cancels."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + int(0.5 * lam * (h + 1.0))):
+        D, L, H = mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(h)
+        nu = D + 0.5
+        A = 2 * mpmath.gamma(1 + 2 * D) / (2 * L) ** (1 + 2 * D)
+        B = 2 * mpmath.gamma(1 + D) / mpmath.sqrt(mpmath.pi) * (2 * L) ** -nu
+        G = lambda t: A - B * t ** nu * mpmath.besselk(nu, L * t)
+        return float((G(H + 1) - 2 * G(H) + G(H - 1)) / (2 * mpmath.gamma(1 + D) ** 2))
+
+
+@pytest.mark.parametrize("d", [-0.3, 0.2, 1.3])
+def test_acvf_tfln1_far_lags_relative_to_mpmath(d):
+    # far lags, lam (h - 1) > 1/2, where the plateau of G must cancel
+    # exactly: cancelled in rounding, d = 0.2, lam = 1 reads 0 from h = 39
+    # on; the tolerance is purely relative, with no floor that passes a zero
+    for lam in (0.3, 1.0, 10.0):
+        p = TemperedParams(d, lam)
+        for h in (3.5, 20.0, 50.0, 100.0):
+            if lam * h > 600.0:  # gamma1 ~ e^{-lam h} < 1e-260
+                continue
+            ref = _acvf1_mpmath(d, lam, h)
+            assert abs(acvf_tfln1(p, h) / ref - 1.0) < 1e-11, (lam, h)
+            assert acvf_tfln1(p, -h) == acvf_tfln1(p, h)
+
+
+def test_acvf_tfln1_asymptotic_rejects_nonpositive_lags():
+    p = TemperedParams(-0.3, 1.0)
+    for h in (0.0, -1.0, [1.0, 0.0]):
+        with pytest.raises(ParameterError):
+            acvf_tfln1_asymptotic(p, h)
+
+
 def test_acvf_tfln2_route_agreement():
     # the spectral route keeps its whole tail, so it is exact for d < 0 too
     for d in (-0.49, -0.3, 0.3):

@@ -180,17 +180,22 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
               "--range", "0:3:1"], 2),
             (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
               "--range", "5:8:1"], 2),
+            # acvf1 drops the plateau from its far-lag differences (engine 1)
+            (["analytic", "acvf1", "--d", "0.2", "--lambda", "1",
+              "--range", "0:60:10"], 1),
             # every simulate run convolves only the lags it reads (engine 1),
             # with the kernel cut below rounding and its far-lag constant
-            # added through the cumulative increments (engine 2)
-            ([*simulate, "--alpha", "1.4"], 2),
+            # added through the cumulative increments (engine 2), and direct
+            # sums over windows of the increments also when nothing is cut
+            # (engine 3)
+            ([*simulate, "--alpha", "1.4"], 3),
             # tempered-stable drivers with alpha < 1 also split their cells
             # into sub-increments (one more)
-            ([*simulate, "--alpha", "0.7"], 3),
+            ([*simulate, "--alpha", "0.7"], 4),
             # type II adds its far-lag constant through the cumulative
             # increments also when nothing is cut (one more)
-            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 3),
-            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 4)):
+            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 4),
+            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 5)):
         assert run([*argv, "--out", out]) == 0
         first = out.read_bytes()
         payload = json.loads(manifest.read_text())

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tflp.grids import GridFunction, SampleGrid, SamplePath
 
@@ -12,7 +10,6 @@ def test_grid_geometry():
     g = SampleGrid(-1.0, 3.0, 8)
     assert g.dx == 0.5
     np.testing.assert_allclose(g.points, -1.0 + 0.5 * np.arange(9))
-    np.testing.assert_allclose(g.midpoints, -0.75 + 0.5 * np.arange(8))
     assert len(g.points) == g.n_cells + 1
 
 
@@ -21,18 +18,6 @@ def test_grid_validation():
         SampleGrid(1.0, 1.0, 4)
     with pytest.raises(ValueError):
         SampleGrid(0.0, 1.0, 0)
-
-
-@given(st.integers(min_value=1, max_value=200),
-       st.integers(min_value=1, max_value=8))
-@settings(max_examples=50, deadline=None)
-def test_refine_preserves_endpoints_and_nests(n, factor):
-    g = SampleGrid(0.0, 2.0, n)
-    f = g.refine(factor)
-    assert (f.x_min, f.x_max) == (g.x_min, g.x_max)
-    assert f.n_cells == factor * n
-    # every coarse point is a fine point
-    np.testing.assert_allclose(f.points[::factor], g.points, atol=1e-12)
 
 
 def test_grid_function_shape_and_finiteness():

@@ -208,10 +208,9 @@ def _reference_path(kind, p, g, driver, seed, stream, refine, smooth=False,
     smooth), r cut after its last lag above 2^-53 of its peak, then the
     convolution with r at the read lags, plus c times the cumulative window
     increments, by route: "direct" sums over dense K-wide rows of the
-    increments, or over dense kernel rows when nothing is cut (np.einsum),
-    "fft" by overlap-save, one rfft per block of about 4 K points, or
-    "full", the scipy.signal.fftconvolve of length 2n - 1 with the uncut
-    c + r."""
+    increments (np.einsum), "fft" by overlap-save, one rfft per block of
+    about 4 K points, or "full", the scipy.signal.fftconvolve of length
+    2n - 1 with the uncut c + r."""
     dt = g.dx / refine
     n_hist = int(np.ceil((trunc_width or truncation_width(p)) / dt))
     n_fine = g.n_cells * refine
@@ -226,13 +225,7 @@ def _reference_path(kind, p, g, driver, seed, stream, refine, smooth=False,
         r = r[:K]
         # the increments from index n_hist - K on, zeros before index 0
         x = np.concatenate((np.zeros(max(K - n_hist, 0)), dL[max(n_hist - K, 0):]))
-        if route == "direct" and K == n:
-            # dense rows of the kernel against all of dL
-            rows = np.zeros((n_fine // refine + 1, n))
-            for row, m in zip(rows, range(n_hist - 1, n, refine)):
-                row[:m + 1] = r[m::-1]
-            conv = np.einsum("ij,j->i", rows, dL)
-        elif route == "direct":
+        if route == "direct":
             rows = np.array([x[i:i + K] for i in range(0, n_fine + 1, refine)])
             conv = np.einsum("ij,j->i", rows, r[::-1].copy())
         else:
