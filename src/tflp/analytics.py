@@ -168,17 +168,13 @@ def _big_h(d: float, lam: float, x: float) -> float:
 
 
 def cov_tflp2(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> float:
-    """Cov[S^II(s), S^II(t)] = EL2 K [H(s) + H(t) - H(|t-s|)] for d > -1/2,
-    d != 0, with H = x Phi0 - Phi1 in closed form (module docstring; DLMF
-    10.29.4, 10.43.2)."""
+    """Cov[S^II(s), S^II(t)] = EL2 K [H(|s|) + H(|t|) - H(|t-s|)] for all
+    real s, t (stationary increments) and d > -1/2, d != 0, with
+    H = x Phi0 - Phi1 in closed form (module docstring; DLMF 10.29.4,
+    10.43.2)."""
     d, lam = params.d, params.lam
     if d == 0.0:
         raise ParameterError("cov_tflp2: d = 0 is not admitted for type II")
-    s, t = float(s), float(t)
-    if s == 0.0 or t == 0.0:
-        return 0.0
-    if s < 0 or t < 0:
-        raise ValueError("cov_tflp2: requires s, t >= 0")
     return EL2 * (_big_h(d, lam, s) + _big_h(d, lam, t) - _big_h(d, lam, t - s))
 
 

@@ -16,11 +16,11 @@ I^{d,lam}_- 1_{[0,t]} = g2(t, .)/Gamma(1+d) for the type II process.
 (The isometry then reads Var[int f dS] = E[L(1)^2] ||F||^2 in L2.)
 
 This display is the term table returned by _classify, which both
-routes sum: elementary (step) integrands per piece in closed form with
-incomplete gamma functions, general grid functions with the tempered
-calculus operators.  Norms and inner products use the same
-left-point Riemann quadrature as the Monte Carlo realization, so the
-predicted variance matches the law of the simulated sums exactly.
+routes sum: elementary (step) integrands jump by jump in closed form,
+one incomplete gamma per breakpoint and term, general grid functions
+with the tempered calculus operators.  Norms and inner products use
+the same left-point Riemann quadrature as the Monte Carlo realization,
+so the predicted variance matches the law of the simulated sums exactly.
 """
 
 from __future__ import annotations
@@ -115,36 +115,27 @@ def _discrete_norm(values, dx):
     return float(np.sqrt(np.sum(values[:-1] ** 2) * dx))
 
 
-def _int_indicator(kappa, lam, a, b, y):
-    """I^{kappa,lam}_- 1_{[a,b)}(y) = lam^{-kappa}/Gamma(kappa) *
-    (gamma_lower(kappa, lam (b-y)_+) - gamma_lower(kappa, lam (a-y)_+))."""
-    y = np.asarray(y, dtype=float)
-    hi = lam * np.maximum(b - y, 0.0)
-    lo = lam * np.maximum(a - y, 0.0)
-    return (lower_gamma(kappa, hi) - lower_gamma(kappa, lo)) \
-        / (gamma_fn(kappa) * lam ** kappa)
+def _step_transform(f: ElementaryFunction, op, kappa, lam, y):
+    """I^{kappa,lam}_- f or D^{kappa,lam}_- f on the points y, jump by jump:
+    f = sum_j J_j 1{y < t_j} with J_j = a_{j-1} - a_j (a_{-1} = a_n = 0), and
 
+      I 1{y < t} = lam^{-kappa} gamma_lower(kappa, lam (t-y)_+) / Gamma(kappa)
+      D f(y)     = lam^kappa f(y) + (kappa/Gamma(1-kappa)) lam^kappa
+                   sum_{t_j > y} J_j G(-kappa, lam (t_j - y))
 
-def _deriv_indicator(kappa, lam, a, b, y):
-    """D^{kappa,lam}_- 1_{[a,b)}(y), closed Marchaud form.
-
-    y < a : -(kappa/Gamma(1-kappa)) lam^kappa [G(-k, lam(a-y)) - G(-k, lam(b-y))]
-    a<=y<b: lam^kappa + (kappa/Gamma(1-kappa)) lam^kappa G(-kappa, lam(b-y))
-    y >= b: 0         (G = upper incomplete gamma)
-    """
-    y = np.asarray(y, dtype=float)
-    c = kappa / gamma_fn(1.0 - kappa) * lam ** kappa
-    out = np.zeros_like(y)
-    below = y < a
-    if np.any(below):
-        za = lam * (a - y[below])
-        zb = lam * (b - y[below])
-        out[below] = -c * (upper_gamma(-kappa, za) - upper_gamma(-kappa, zb))
-    inside = (y >= a) & (y < b)
-    if np.any(inside):
-        zb = lam * (b - y[inside])
-        out[inside] = lam ** kappa + c * upper_gamma(-kappa, zb)
-    return out
+    (G = upper incomplete gamma; the Marchaud form of the D operator).
+    lam^kappa f(y) is one term: as lam^kappa J_j per jump it would cancel
+    only in rounding below the first breakpoint, swamping the small tail."""
+    a = (0.0, *f.coefficients, 0.0)
+    jumps = zip(f.breakpoints, np.subtract(a[:-1], a[1:]))
+    if op == "I":
+        return sum(J * lower_gamma(kappa, lam * np.maximum(t - y, 0.0))
+                   for t, J in jumps) / (gamma_fn(kappa) * lam ** kappa)
+    tail = np.zeros_like(y)
+    for t, J in jumps:
+        k = np.searchsorted(y, t)  # y[:k] < t, the points the jump reaches
+        tail[:k] += J * upper_gamma(-kappa, lam * (t - y[:k]))
+    return lam ** kappa * f(y) + kappa / gamma_fn(1.0 - kappa) * lam ** kappa * tail
 
 
 def _default_grid(f: ElementaryFunction, params: TemperedParams,
@@ -161,7 +152,7 @@ def transform_integrand(f, params: TemperedParams, target: str = "TFLP2",
                         dx: float = 2.0 ** -8) -> IntegrandTransform:
     """Map an integrand to the function F with int f dS = int F dL.
 
-    f is an ElementaryFunction (transformed in closed form per piece) or
+    f is an ElementaryFunction (transformed in closed form per jump) or
     a GridFunction (transformed with the grid calculus operators on its
     own grid).  For elementary f, grid defaults to [min break - R, max
     break] at spacing dx, with R the tempering truncation width.
@@ -171,11 +162,8 @@ def transform_integrand(f, params: TemperedParams, target: str = "TFLP2",
     if isinstance(f, ElementaryFunction):
         if grid is None:
             grid = _default_grid(f, params, dx)
-        y = grid.points
-        ops = {"I": _int_indicator, "D": _deriv_indicator}
-        F = np.zeros_like(y)
-        for a, b, c in zip(f.breakpoints, f.breakpoints[1:], f.coefficients):
-            F += c * sum(k * ops[op](order, lam, a, b, y) for k, op, order in terms)
+        F = sum(k * _step_transform(f, op, order, lam, grid.points)
+                for k, op, order in terms)
     elif isinstance(f, GridFunction):
         grid = f.grid
         ops = {"I": frac_integral_minus, "D": frac_derivative_minus}
@@ -233,28 +221,19 @@ def approximate_by_elementary(f: GridFunction, params: TemperedParams,
 
     Dyadically refines a partition of f's grid, averaging f per piece,
     until ||transform(f) - transform(f_n)|| < tol; raises ToleranceError
-    after max_levels refinements without convergence.
+    when max_levels refinements, or one piece per grid cell if that comes
+    first, do not reach tol.
     """
     grid = f.grid
     tr_f = transform_integrand(f, params, target)
-    for level in range(max_levels + 1):
-        pieces = 2 ** level
-        if pieces > grid.n_cells:
-            break
-        edges_idx = np.linspace(0, grid.n_cells, pieces + 1).astype(int)
-        bps, cfs = [], []
-        for i in range(pieces):
-            a, b = edges_idx[i], edges_idx[i + 1]
-            if b <= a:
-                continue
-            bps.append(grid.points[a])
-            cfs.append(float(np.mean(f.values[a:b])))
-        bps.append(grid.points[edges_idx[-1]])
-        fn = ElementaryFunction(tuple(bps), tuple(cfs))
+    levels = min(max_levels, int(grid.n_cells).bit_length() - 1)
+    for level in range(levels + 1):
+        idx = np.linspace(0, grid.n_cells, 2 ** level + 1).astype(int)
+        fn = ElementaryFunction(grid.points[idx], tuple(
+            float(np.mean(f.values[a:b])) for a, b in zip(idx, idx[1:])))
         tr_n = transform_integrand(fn, params, target, grid=grid)
         diff = tr_f.transformed.values - tr_n.transformed.values
-        dist = _discrete_norm(diff, grid.dx)
-        if dist < tol:
+        if _discrete_norm(diff, grid.dx) < tol:
             return fn
-    raise ToleranceError(
-        f"approximate_by_elementary: tol {tol} not reached in {max_levels} levels")
+    raise ToleranceError(f"approximate_by_elementary: tol {tol} not reached "
+                         f"in {levels} refinements ({2 ** levels} pieces)")

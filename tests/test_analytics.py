@@ -87,9 +87,14 @@ def _bessel_kernel_quadrature(p, w, a, b, kinks=()):
 
 
 def _cov2_quadrature(p, s, t):
-    """Oracle: the overlap weight m(r) = min(t, s+r) - max(0, r) on [-s, t]."""
+    """Oracle: the overlap weight m(r) = int 1_s(u) 1_t(u + r) du on
+    [a_t - b_s, b_t - a_s], of the signed indicators 1_s = sgn(s) 1_[a_s, b_s]
+    with [a_s, b_s] spanning 0 and s (1_t likewise)."""
+    (a_s, b_s), (a_t, b_t) = sorted((0.0, s)), sorted((0.0, t))
+    sign = np.sign(s) * np.sign(t)
     return _bessel_kernel_quadrature(
-        p, lambda r: min(t, s + r) - max(0.0, r), -s, t, (t - s,))
+        p, lambda r: sign * (min(b_s, b_t - r) - max(a_s, a_t - r)),
+        a_t - b_s, b_t - a_s, (a_t - a_s, b_t - b_s))
 
 
 def _acvf2_quadrature(p, h):
@@ -182,16 +187,23 @@ def test_half_integer_d_against_kernel_quadrature(d, tol):
 
 
 def test_cov_tflp2_against_kernel_quadrature():
+    # stationary increments: K [H(|s|) + H(|t|) - H(|t - s|)] holds for all
+    # real s, t, so negative times are checked too
     zs = (1e-4, 1e-2, 0.5, 3.0, 20.0, 60.0)
+    signed = (1e-2, 0.5, 20.0)  # pairs of these also with either sign
     for d in (0.05, 0.2, 0.5, 1.0, 1.5, 2.2):
         for lam in (0.01, 0.3, 3.0):
             p = TemperedParams(d, lam)
             for i, a in enumerate(zs):
                 for b in zs[i:]:
-                    s, t = a / lam, b / lam
-                    ref = _cov2_quadrature(p, s, t)
-                    assert abs(cov_tflp2(p, s, t) / ref - 1.0) < 1e-9, (d, lam, a, b)
-                    assert cov_tflp2(p, t, s) == cov_tflp2(p, s, t)
+                    signs = ((1, 1), (-1, 1), (1, -1), (-1, -1)) \
+                        if a in signed and b in signed else ((1, 1),)
+                    for sa, sb in signs:
+                        s, t = sa * a / lam, sb * b / lam
+                        ref = _cov2_quadrature(p, s, t)
+                        assert abs(cov_tflp2(p, s, t) / ref - 1.0) < 1e-9, \
+                            (d, lam, s, t)
+                        assert cov_tflp2(p, t, s) == cov_tflp2(p, s, t)
 
 
 def test_acvf_tfln2_against_kernel_quadrature_across_route_switch():

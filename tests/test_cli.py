@@ -98,6 +98,13 @@ def test_estimate_pipeline_from_simulated_noise(tmp_path):
     assert names == ["h", "gamma"]
     assert len(data) == 21
     assert data[0, 1] > 0  # lag zero is the sample variance
+    pgram = tmp_path / "pgram.csv"
+    assert run(["estimate", "periodogram", "--input", noise,
+                "--segment-length", "256", "--out", pgram]) == 0
+    names, data = read_csv(pgram)
+    assert names == ["omega", "power"]
+    assert len(data) == 128  # omega_k = 2 pi k / 256, k = 1..128
+    assert np.all(data[:, 1] > 0)
 
 
 def test_estimate_fit_semilrd_json(tmp_path):
@@ -399,6 +406,17 @@ def test_sub_step_budget_bounds_time_on_short_grids(tmp_path, capsys):
     ("analytic acvf2band --d 0.35 --lambda 0.05 --range 0:20:1 --out {tmp}/x.csv", {}, 2),
     # type II is not defined at d = 0, where S^II = L
     ("analytic acvf2 --d 0 --lambda 1 --range 0:3:1 --out {tmp}/x.csv", {}, 2),
+    # a malformed range, and two empty ones
+    ("analytic cov1 --d 0.3 --lambda 1 --range 1:2 --out {tmp}/x.csv", {}, 2),
+    ("analytic cov1 --d 0.3 --lambda 1 --range 5:1:1 --out {tmp}/x.csv", {}, 2),
+    ("analytic cov1 --d 0.3 --lambda 1 --range 0:1:0 --out {tmp}/x.csv", {}, 2),
+    ("simulate tflp1 --config {tmp}/run.cfg --out {tmp}/x.csv",
+     {"run.cfg": "d = 0.3\nlambda 1\n"}, 2),
+    ("estimate acvf --input {tmp}/in.csv --out {tmp}/x.csv",
+     {"in.csv": "t,x\ntime,value\n0,1\n1,abc\n2,3\n"}, 2),
+    ("rerun {tmp}/m.json", {"m.json": json.dumps({"command": "analytic", "config": {
+        "curve": "cov1", "d": "abc", "lam": 1.0, "el2": 1.0, "range": "0:3:1",
+        "out": "x.csv"}})}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, code):
     for name, text in files.items():
@@ -412,7 +430,7 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, cod
 def test_verify_suites_pass(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
-        for suite in ("calculus", "covariance", "spectra"):
+        for suite in ("calculus", "covariance", "spectra", "isometry"):
             assert run(["verify", suite]) == 0
     text = capsys.readouterr().out
     assert "PASS" in text and "FAIL" not in text.replace("FAILED", "")

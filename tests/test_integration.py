@@ -8,14 +8,13 @@ from tflp.driver import CompoundPoisson, GaussianJumps, sample_increments, secon
 from tflp.errors import ToleranceError
 from tflp.grids import GridFunction, SampleGrid
 from tflp.integration import (
-    ElementaryFunction, _deriv_indicator, _int_indicator,
-    approximate_by_elementary, inner_product, integrate_elementary,
-    integrate_general, transform_integrand,
+    ElementaryFunction, approximate_by_elementary, inner_product,
+    integrate_elementary, integrate_general, transform_integrand,
 )
 from tflp.processes import (
     TemperedParams, kernel_g1, kernel_g2, simulate_tflp2, truncation_width,
 )
-from tflp.special import gamma_fn
+from tflp.special import gamma_fn, lower_gamma, upper_gamma
 
 CP = CompoundPoisson(intensity=2.0, jump_law=GaussianJumps(sigma=1.0))
 
@@ -72,34 +71,50 @@ def test_indicator_transform_reproduces_kernels():
 
 def test_transform_terms_bit_identical_to_reference():
     # each regime's formula written out per route, with the subtraction
-    # order of the displays; the term table must reproduce it bit for bit
+    # order of the displays; the term table must reproduce it bit for bit.
+    # The step is sum_j J_j 1{y < t_j}, J_j = a_{j-1} - a_j (a_{-1} = a_n = 0)
     lam = 1.3
     grid = SampleGrid(-20.0, 2.0, 2 ** 10)
     y = grid.points
     step = ElementaryFunction((-0.5, 0.3, 1.1, 1.75), (1.0, -2.5, 0.75))
+    a = (0.0, *step.coefficients, 0.0)
+    jumps = [(t, a[j] - a[j + 1]) for j, t in enumerate(step.breakpoints)]
     gauss = GridFunction.from_callable(grid, lambda x: np.exp(-(x - 0.5) ** 2))
     I, D = frac_integral_minus, frac_derivative_minus
+
+    def I_step(kappa):
+        # I 1{y < t} = lam^-kappa gamma_lower(kappa, lam (t - y)_+) / Gamma(kappa)
+        total = 0
+        for t, J in jumps:
+            total = total + J * lower_gamma(kappa, lam * np.maximum(t - y, 0.0))
+        return total / (gamma_fn(kappa) * lam ** kappa)
+
+    def D_step(kappa):
+        # lam^kappa f + (kappa/Gamma(1-kappa)) lam^kappa
+        #   * sum_{t_j > y} J_j G(-kappa, lam (t_j - y))
+        tail = np.zeros_like(y)
+        for t, J in jumps:
+            ahead = y < t
+            tail[ahead] += J * upper_gamma(-kappa, lam * (t - y[ahead]))
+        return (lam ** kappa * step(y)
+                + kappa / gamma_fn(1.0 - kappa) * lam ** kappa * tail)
+
     for target, d, regime in (("TFLP2", 0.3, "A1"), ("TFLP2", -0.3, "A2"),
                               ("TFLP1", -0.3, "A3"), ("TFLP1", 0.3, "A4")):
         if regime == "A1":
-            piece = lambda a, b: _int_indicator(d, lam, a, b, y)
+            ref_step = I_step(d)
             ref_grid = I(gauss, d, lam).values
         elif regime == "A2":
-            piece = lambda a, b: _deriv_indicator(-d, lam, a, b, y)
+            ref_step = D_step(-d)
             ref_grid = D(gauss, -d, lam).values
         elif regime == "A3":
-            piece = lambda a, b: (_deriv_indicator(-d, lam, a, b, y)
-                                  - lam * _int_indicator(d + 1.0, lam, a, b, y))
+            ref_step = D_step(-d) - lam * I_step(d + 1.0)
             ref_grid = (D(gauss, -d, lam).values
                         - lam * I(gauss, d + 1.0, lam).values)
         else:
-            piece = lambda a, b: (_int_indicator(d, lam, a, b, y)
-                                  - lam * _int_indicator(d + 1.0, lam, a, b, y))
+            ref_step = I_step(d) - lam * I_step(d + 1.0)
             ref_grid = (I(gauss, d, lam).values
                         - lam * I(gauss, d + 1.0, lam).values)
-        ref_step = np.zeros_like(y)
-        for a, b, c in zip(step.breakpoints, step.breakpoints[1:], step.coefficients):
-            ref_step += c * piece(a, b)
         p = TemperedParams(d, lam)
         for f, ref in ((step, ref_step), (gauss, ref_grid)):
             tr = transform_integrand(f, p, target, grid=grid)
@@ -110,7 +125,7 @@ def test_transform_terms_bit_identical_to_reference():
 
 
 def test_closed_form_matches_grid_operator_route():
-    # the per-piece incomplete-gamma transform and the grid calculus
+    # the jump-by-jump incomplete-gamma transform and the grid calculus
     # operators are independent code paths; they must agree
     p = TemperedParams(0.3, 1.0)
     f = ElementaryFunction((0.0, 0.7, 1.4), (1.0, -2.0))
@@ -205,5 +220,11 @@ def test_approximate_by_elementary_converges():
     gap = np.sqrt(np.sum((tr_f.transformed.values
                           - tr_n.transformed.values) ** 2) * g.dx)
     assert gap < 1e-2
-    with pytest.raises(ToleranceError):
+    with pytest.raises(ToleranceError, match=r"in 3 refinements \(8 pieces\)$"):
         approximate_by_elementary(f, p, tol=1e-12, max_levels=3)
+    # an 8-cell grid is refined 3 times, to a piece per cell, whatever
+    # max_levels allows beyond that
+    f8 = GridFunction.from_callable(SampleGrid(-32.0, 0.0, 8),
+                                    lambda x: np.exp(-x ** 2))
+    with pytest.raises(ToleranceError, match=r"in 3 refinements \(8 pieces\)$"):
+        approximate_by_elementary(f8, p, tol=1e-12, max_levels=12)
