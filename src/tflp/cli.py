@@ -106,15 +106,22 @@ def _engine(command, config):
     increments also when nothing is cut, which only the kernel built from
     the config would tell apart), 1 more for simulate runs of type II (the
     far-lag constant enters through the cumulative sum also when nothing is
-    cut), and 1 for simulate and verify runs whose tempered-stable driver
-    has alpha < 1 (cells split into sub-increments).  So simulate is 3 or 4
-    for type I and 4 or 5 for type II; verify 0 or 1."""
+    cut), 1 for simulate and verify runs whose tempered-stable driver has
+    alpha < 1 (cells split into sub-increments), and 1 for simulate runs and
+    verify runs that draw (isometry, all) whose driver draws compound-Poisson
+    jumps, cpois or tstable with alpha >= 1 (one total count, then the
+    cells).  So simulate is 3 for type I and 4 for type II with the gauss
+    driver, one more with any other; verify 0 or 1."""
     if command == "analytic":
         return _CURVES.get(config["curve"], (0,))[0] + int(
             config["curve"] in ("acvf2", "acvf2band") and config["d"] < 0)
     simulate = command == "simulate"
+    driver = config.get("driver")
+    split = driver == "tstable" and config["alpha"] < 1.0
+    jumps = driver == "cpois" or (driver == "tstable" and not split)
+    draws = simulate or config.get("suite") in ("isometry", "all")
     return (3 * simulate + int(simulate and config["kind"].endswith("2"))
-            + int(config.get("driver") == "tstable" and config["alpha"] < 1.0))
+            + int(split) + int(jumps and draws))
 
 
 def write_manifest(out_path, command, config):

@@ -6,6 +6,12 @@ that condition; it exists only for cross-checks against the Gaussian
 theory).  Only increments over grid cells are ever consumed, so the
 samplers produce i.i.d. increment arrays directly.
 
+Compound Poisson sampling is by count and scatter: one total jump count
+N ~ Poisson(rate n) over the n cells, N cells drawn uniformly, then N jump
+sizes, summed per cell.  Given N the cell counts are multinomial, so each
+cell's count is Poisson(rate), independently of the others: the law of a
+Poisson process binned into cells, at the cost of N draws rather than n.
+
 Tempered stable sampling: for alpha < 1 an increment is the difference
 of two tempered stable subordinator increments, each drawn exactly by
 acceptance-rejection from a positive stable proposal of scale sigma,
@@ -27,6 +33,7 @@ approximation is exact by construction.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,21 +219,36 @@ def char_exponent(spec, theta):
 # ---------------------------------------------------------------------------
 # samplers
 
+_local = threading.local()
+
+
 def _rng_for(seed, stream=0):
-    """Counter-based generator; draws are a pure function of (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=(np.uint64(seed) << np.uint64(32)) + np.uint64(stream)))
+    """Counter-based generator; draws are a pure function of (seed, stream).
+
+    Each thread keeps one Philox generator and re-keys it with the complete
+    state Philox(key=...) starts from: key (seed << 32) + stream, counter 0,
+    an empty buffer and no spare 32-bit half.  Building a new Philox instead
+    costs a discarded OS-entropy SeedSequence per call.
+    """
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox(key=0))
+    key = (np.uint64(seed) << np.uint64(32)) + np.uint64(stream)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _compound_poisson(rng, rate, n, jumps):
-    """Sums over n cells of Poisson(rate) many jumps each: the counts of all
-    cells first, then jumps(total) draws the sizes in cell order."""
+    """Sums over n cells of Poisson(rate) many jumps each, by count and
+    scatter: one total N ~ Poisson(rate n), N cells drawn uniformly, then
+    jumps(N) sizes in that order, binned into their cells."""
     check_budget(rate * n, "sample_increments: expected jumps")
-    counts = rng.poisson(rate, size=n)
-    total = int(counts.sum())
-    out = np.zeros(n)
-    if total:
-        np.add.at(out, np.repeat(np.arange(n), counts), jumps(total))
-    return out
+    total = rng.poisson(rate * n)
+    cells = rng.integers(0, n, total)
+    return np.bincount(cells, jumps(total), minlength=n)
 
 
 def _positive_stable(rng, alpha, n):

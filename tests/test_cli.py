@@ -195,14 +195,22 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
             # added through the cumulative increments (engine 2), and direct
             # sums over windows of the increments also when nothing is cut
             # (engine 3)
-            ([*simulate, "--alpha", "1.4"], 3),
-            # tempered-stable drivers with alpha < 1 also split their cells
-            # into sub-increments (one more)
+            ([*simulate[:10], "--driver", "gauss"], 3),
+            # drivers that draw compound-Poisson jumps count them once and
+            # scatter them over the cells (one more)
+            (simulate[:10], 4),
+            ([*simulate, "--alpha", "1.4"], 4),
+            # tempered-stable drivers with alpha < 1 split their cells into
+            # sub-increments instead (one more)
             ([*simulate, "--alpha", "0.7"], 4),
             # type II adds its far-lag constant through the cumulative
             # increments also when nothing is cut (one more)
-            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 4),
-            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 5)):
+            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 5),
+            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 5),
+            # verify suites that draw take the new compound-Poisson draws too
+            (["verify", "isometry", "--n-draws", "200"], 1),
+            (["verify", "isometry", "--n-draws", "200", "--driver", "tstable",
+              "--alpha", "1.4", "--lambda-noise", "1"], 1)):
         assert run([*argv, "--out", out]) == 0
         first = out.read_bytes()
         payload = json.loads(manifest.read_text())
@@ -230,8 +238,10 @@ def test_unchanged_curve_manifest_has_no_engine_key(tmp_path):
     manifest = tmp_path / "a.csv.manifest.json"
     for argv in (["analytic", "cov1", "--d", "0.3", "--lambda", "0.5",
                   "--range", "0.25:2:0.25"],
-                 # verify keeps its rule: engine 0 unless tstable alpha < 1
-                 ["verify", "calculus"]):
+                 # verify is engine 0 unless its driver splits cells or a
+                 # suite that draws takes compound-Poisson jumps
+                 ["verify", "calculus"],
+                 ["verify", "isometry", "--n-draws", "200", "--driver", "gauss"]):
         assert run([*argv, "--out", out]) == 0
         first, text = out.read_bytes(), manifest.read_text()
         assert "engine" not in json.loads(text)

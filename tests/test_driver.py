@@ -3,16 +3,19 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy import stats
 
 import tflp
 from tflp import driver, errors
 from tflp.driver import (
     CompoundPoisson, GaussianJumps, GaussianValidation, TemperedStable,
-    TwoPoint, UniformSymmetric, _positive_stable, _rng_for, _tilted_subordinator,
+    TwoPoint, UniformSymmetric, _compound_poisson, _positive_stable, _rng_for,
+    _tilted_subordinator,
     char_exponent, sample_increments, second_moment, spec_from_config,
 )
 from tflp.errors import ToleranceError
@@ -111,7 +114,8 @@ def test_heavily_tempered_sampling_returns():
 
 def test_rejection_routes_keep_their_draw_order():
     # the recipes as written before the rejection loop was shared: the
-    # alpha >= 1 route, and alpha < 1 where each cell is one step (m = 1)
+    # alpha >= 1 route (with its jumps counted and scattered), and alpha < 1
+    # where each cell is one step (m = 1)
     def rejection(rng, n, propose, accept_prob):
         out = np.empty(n)
         todo = np.arange(n)
@@ -136,18 +140,99 @@ def test_rejection_routes_keep_their_draw_order():
         else:
             eps = min((2.0 * c * dt / (a * 10.0)) ** (1.0 / a), 1.0 / lam)
             rate = 2.0 * c * lam ** a * float(upper_gamma(-a, lam * eps))
-            counts = rng.poisson(rate * dt, size=n)
-            total = int(counts.sum())
+            # count and scatter: the total count, the cells, then the sizes
+            total = rng.poisson(rate * dt * n)
+            cells = rng.integers(0, n, total)
             sizes = rejection(rng, total, lambda k: eps * rng.random(k) ** (-1.0 / a),
                               lambda x: np.exp(-lam * (x - eps)))
             signs = 2.0 * rng.integers(0, 2, size=total) - 1.0
             expected = np.zeros(n)
-            np.add.at(expected, np.repeat(np.arange(n), counts), signs * sizes)
+            np.add.at(expected, cells, signs * sizes)
             small_var = 2.0 * c * lam ** (a - 2.0) * float(
                 sp.gamma(2.0 - a) * sp.gammainc(2.0 - a, lam * eps))
             expected += rng.normal(0.0, np.sqrt(small_var * dt), size=n)
         got = sample_increments(TemperedStable(a, lam, c), grid, seed=5, stream=2)
         np.testing.assert_array_equal(got, expected)
+
+
+def test_compound_poisson_law():
+    # checks that hold whatever the draw order: each cell's jump count is
+    # Poisson(rate) (chi-square, level 1e-3), and the increments' empirical
+    # characteristic function is exp(dt psi) (4 SE, level 6e-5 per theta)
+    n = 200_000
+    for rate in (1.0 / 32.0, 2.5):
+        counts = _compound_poisson(_rng_for(31), rate, n, np.ones).astype(int)
+        top = int(stats.poisson.isf(50.0 / n, rate))  # last bin holds >= 50 expected
+        observed = np.bincount(np.minimum(counts, top), minlength=top + 1)
+        expected = n * np.append(stats.poisson.pmf(np.arange(top), rate),
+                                 stats.poisson.sf(top - 1, rate))
+        chi2 = np.sum((observed - expected) ** 2 / expected)
+        assert chi2 < stats.chi2.isf(1e-3, top), (rate, observed, expected)
+    for spec, dt in ((CompoundPoisson(1.0, UniformSymmetric(1.0)), 1.0 / 32.0),
+                     (CompoundPoisson(2.0, GaussianJumps(1.0)), 0.5),
+                     (CompoundPoisson(0.7, TwoPoint(1.3)), 2.0)):
+        x = sample_increments(spec, SampleGrid(0.0, n * dt, n), seed=32)
+        for theta in (0.5, 2.0, 8.0):
+            c = np.cos(theta * x)
+            cf = np.exp(dt * char_exponent(spec, theta).real)
+            assert abs(c.mean() - cf) < 4.0 * c.std() / np.sqrt(n), (spec, theta)
+
+
+# every sampler of the module, each route of the tempered-stable one
+_ALL_SAMPLERS = [
+    CompoundPoisson(1.5, UniformSymmetric(1.0)), CompoundPoisson(1.5, GaussianJumps(0.5)),
+    CompoundPoisson(1.5, TwoPoint(0.3)), TemperedStable(0.7, 1.3), TemperedStable(0.7, 10.0),
+    TemperedStable(1.0, 1.3), TemperedStable(1.4, 1.3), GaussianValidation(0.9)]
+
+
+def test_rekeyed_generator_draws_as_a_fresh_one(monkeypatch):
+    def stir(seed, stream):
+        # leave the thread's generator mid-buffer with a spare 32-bit half
+        rng = _rng_for(seed, stream)
+        rng.random(3, dtype=np.float32)
+        rng.standard_normal(1)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+
+    grid = SampleGrid(0.0, 20.0, 999)
+    got = []
+    for i, spec in enumerate(_ALL_SAMPLERS):
+        stir(5, 2)
+        stir(i, 9)
+        got.append(sample_increments(spec, grid, seed=5, stream=2))
+    monkeypatch.setattr(driver, "_rng_for", lambda seed, stream=0: np.random.Generator(
+        np.random.Philox(key=(np.uint64(seed) << np.uint64(32)) + np.uint64(stream))))
+    for spec, x in zip(_ALL_SAMPLERS, got):
+        np.testing.assert_array_equal(x, sample_increments(spec, grid, seed=5, stream=2))
+
+
+def test_threads_sampling_at_once_get_their_single_thread_arrays():
+    grid = SampleGrid(0.0, 20.0, 999)
+    jobs = [(spec, seed) for seed in range(3) for spec in _ALL_SAMPLERS]
+    want = [sample_increments(spec, grid, seed) for spec, seed in jobs]
+    n_threads = 4  # more than the cores of a small host
+    barrier = threading.Barrier(n_threads)
+    results = {}
+
+    def work(t):
+        barrier.wait(timeout=30)
+        results[t] = [sample_increments(spec, grid, seed) for spec, seed in jobs[t:] + jobs[:t]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(results) == list(range(n_threads))
+    for t, arrays in results.items():
+        for x, y in zip(arrays, want[t:] + want[:t]):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_draw_budget_raises_before_drawing(monkeypatch):
