@@ -228,7 +228,8 @@ def _rng_for(seed, stream=0):
     Each thread keeps one Philox generator and re-keys it with the complete
     state Philox(key=...) starts from: key (seed << 32) + stream, counter 0,
     an empty buffer and no spare 32-bit half.  Building a new Philox instead
-    costs a discarded OS-entropy SeedSequence per call.
+    costs a discarded OS-entropy SeedSequence per call.  The generator is
+    the thread's, so it is valid until the thread's next call.
     """
     rng = getattr(_local, "rng", None)
     if rng is None:
