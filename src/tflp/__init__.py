@@ -27,7 +27,7 @@ from .integration import (
 from .processes import (
     TemperedParams, kernel_g1, kernel_g2, noise_path,
     simulate_ensemble, simulate_smooth_regime, simulate_tflp1,
-    simulate_tflp2, total_variation, truncation_width,
+    simulate_tflp2, truncation_width,
 )
 from .special import bessel_k, bessel_k_scaled, gamma_fn
 

@@ -33,6 +33,16 @@ analytic in d, so this one form holds on the whole type II domain
 d > -1/2, d != 0 (K changes sign with Gamma(d)); at d = 0, where
 S^II = L, the type II functions raise ParameterError.
 
+Far lags.  Both noise autocovariances are second differences,
+f(h+1) - 2 f(h) + f(h-1) = int_{-1}^{1} (1-|r|) f''(h+r) dr, of a
+function whose values there nearly cancel: f(t) = t^nu K_nu(lam t) for
+type I (its f'' by DLMF 10.29.4), and K H for type II, whose f'' is the
+kernel x^mu K_mu(lam x) itself.  Past the switch points of acvf_tfln1 and
+_acvf_tfln2_bessel the right-hand side is taken by one fixed
+Gauss-Legendre stencil rule, _far_second_difference, with the decay
+e^{-lam t} factored out, so no digits cancel and nothing overflows at
+large lam.
+
 Spectral densities are returned exactly as displayed, normalized to
 E[L(1)^2] = 1:
 
@@ -178,19 +188,71 @@ def cov_tflp2(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> f
     return EL2 * (_big_h(d, lam, s) + _big_h(d, lam, t) - _big_h(d, lam, t - s))
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre8():
+    return np.polynomial.legendre.leggauss(8)
+
+
+@lru_cache(maxsize=128)
+def _stencil_nodes(lam: float, graded: float, stop: float):
+    """Nodes s and weights min(s, 2 lam - s) e^{-s} w of
+    _far_second_difference for panels graded towards a branch point at
+    s = -graded; read-only, as the cache hands them to every caller."""
+    edges = [0.0]
+    while edges[-1] < stop:
+        a = edges[-1]
+        b = min(a + 2.0, a + 0.25 * (graded + a), stop)
+        edges.append(lam if a < lam < b else b)
+    edges = np.array(edges)
+    x, w = _gauss_legendre8()
+    half = 0.5 * np.diff(edges)[:, None]
+    s = (0.5 * (edges[1:, None] + edges[:-1, None]) + half * x).ravel()
+    weights = (half * w).ravel() * np.minimum(s, 2.0 * lam - s) * np.exp(-s)
+    s.setflags(write=False)
+    weights.setflags(write=False)
+    return s, weights
+
+
+def _far_second_difference(lam: float, h: float, d: float, g) -> float:
+    """lam^2 int_{-1}^{1} (1-|r|) F(lam (h+r)) dr for F(z) = e^{-z} g(z) with
+    its branch point at z = 0, h > 1: the second difference
+    f(h+1) - 2 f(h) + f(h-1) of an f with f''(t) = lam^2 F(lam t).
+
+    In s = lam (1+r), so that z = lam (h-1) + s carries no cancellation
+    and no scale of lam: 8-point Gauss-Legendre panels on [0, lam] and
+    [lam, stop] (split at the kink of 1-|r|), each at most 2 wide (the decay
+    scale) and at most a quarter of its distance z from the branch point
+    (graded towards it when lam (h-1) < 8; lags beyond share one cached
+    layout).  e^{-lam(h-1)} e^{-s} is factored out, so no exponential
+    exceeds 1.  Past stop = 40 + 4 max(d, 0) the integrand, about
+    s z^d e^{-s}, is below rounding, so a lag takes at most
+    30 + 2 max(d, 0) panels whatever lam is (240 nodes for d <= 0)."""
+    z0 = lam * (h - 1.0)
+    stop = min(2.0 * lam, 40.0 + 4.0 * max(d, 0.0))
+    s, weights = _stencil_nodes(lam, min(z0, 8.0), stop)
+    return math.exp(-z0) * float(np.dot(weights, g(z0 + s)))
+
+
 def acvf_tfln1(params: TemperedParams, h: float, EL2: float = 1.0) -> float:
     """Autocovariance of the unit-lag type I noise, exact via G differences.
     At far lags, lam (|h| - 1) > 1/2, all three G = A - B f with
-    f(t) = t^nu K_nu(lam t), so the plateau A is dropped from the second
-    difference instead of cancelling in rounding."""
+    f(t) = t^nu K_nu(lam t), so the plateau A drops out, and the second
+    difference of f is taken by the stencil rule of _far_second_difference
+    with f''(t) = lam^2 t^nu K_{nu-2}(lam t) - lam t^{nu-1} K_{nu-1}(lam t)
+    (DLMF 10.29.4) instead of differencing f, which loses digits when lam
+    is small."""
     d, lam = params.d, params.lam
     g = gamma_fn(1.0 + d)
     h = float(h)
     if lam * (abs(h) - 1.0) > 0.5:
-        h, nu = abs(h), d + 0.5
-        f = [t ** nu * bessel_k(nu, lam * t) for t in (h + 1.0, h, h - 1.0)]
-        # B / (2 Gamma(1+d)^2), B = 2 Gamma(1+d) (2 lam)^{-nu} / sqrt(pi)
-        return -EL2 * (2.0 * lam) ** -nu / (_SQRT_PI * g) * (f[0] - 2.0 * f[1] + f[2])
+        nu = d + 0.5
+        # f(t) = lam^{-nu} z^nu K_nu(z), z = lam t, so f''(t) = lam^{2-nu}
+        # e^{-z} g(z); with B / (2 Gamma(1+d)^2), B = 2 Gamma(1+d) (2 lam)^{-nu}
+        # / sqrt(pi), the factor is 2^{-nu} lam^{-2 nu} / (sqrt(pi) Gamma(1+d))
+        g2 = lambda z: z ** (nu - 1.0) * (
+            z * bessel_k_scaled(nu - 2.0, z) - bessel_k_scaled(nu - 1.0, z))
+        return -EL2 * 2.0 ** -nu * lam ** (-2.0 * nu) / (_SQRT_PI * g) \
+            * _far_second_difference(lam, abs(h), d, g2)
     return EL2 / (2.0 * g * g) * (
         _big_g(d, lam, h + 1.0) - 2.0 * _big_g(d, lam, h) + _big_g(d, lam, h - 1.0))
 
@@ -241,24 +303,20 @@ def spec_density_tfln2(params: TemperedParams, omega) -> float:
 
 def _acvf_tfln2_bessel(params: TemperedParams, h: float) -> float:
     """K [H(h+1) - 2 H(h) + H(|h-1|)], or for lam (h-1) > 3 or h > 21, where
-    that loses more than 1e-10 to rounding, the same
-    K int_{-1}^{1} (1-|r|) |h+r|^mu K_mu(lam|h+r|) dr by quadrature with
-    the exponential decay factored out."""
+    that loses more than 1e-10 to rounding, the same second difference as
+    K int_{-1}^{1} (1-|r|) x^mu K_mu(lam x) dr, x = h + r, by the stencil
+    rule of _far_second_difference."""
     d, lam = params.d, params.lam
     h = abs(float(h))
     if h - 1.0 <= min(3.0 / lam, 20.0):
         return _big_h(d, lam, h + 1.0) - 2.0 * _big_h(d, lam, h) \
             + _big_h(d, lam, h - 1.0)
-    from scipy import integrate as _integrate
-    K = 1.0 / (_SQRT_PI * gamma_fn(d) * (2.0 * lam) ** (d - 0.5))
-    nu = d - 0.5
-    # integrand = (1-|r|) (h+r)^nu kve(nu, lam(h+r)) e^{-lam(h+r)}
-    def scaled(r):
-        x = h + r
-        return (1.0 - abs(r)) * x ** nu * bessel_k_scaled(nu, lam * x) \
-            * np.exp(-lam * r)
-    val, _ = _integrate.quad(scaled, -1.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-11)
-    return K * np.exp(-lam * h) * val
+    mu = d - 0.5
+    # K x^mu K_mu(lam x) = K lam^{-mu} z^mu K_mu(z), z = lam x, and the rule
+    # carries lam^2: c = K lam^{-mu-2}, K = 1/(sqrt(pi) Gamma(d) (2 lam)^mu)
+    c = 2.0 ** -mu * lam ** (-1.0 - 2.0 * d) / (_SQRT_PI * gamma_fn(d))
+    return c * _far_second_difference(
+        lam, h, d, lambda z: z ** mu * bessel_k_scaled(mu, z))
 
 
 def _acvf_tfln2_fourier(params: TemperedParams, h: float) -> float:
@@ -281,9 +339,10 @@ def _acvf_tfln2_fourier(params: TemperedParams, h: float) -> float:
 def acvf_tfln2(params: TemperedParams, h: float, EL2: float = 1.0,
                method: str = "bessel") -> float:
     """Exact autocovariance of the unit-lag type II noise, d > -1/2, d != 0:
-    K [H(h+1) - 2 H(h) + H(|h-1|)], H as in cov_tflp2, or the kernel integral by
-    quadrature where that difference cancels.  method 'fourier' inverts the
-    spectral display instead, the independent reference route."""
+    K [H(h+1) - 2 H(h) + H(|h-1|)], H as in cov_tflp2, or the kernel integral
+    by the far-lag stencil rule where that difference cancels.  method
+    'fourier' inverts the spectral display instead, the independent
+    reference route."""
     if params.d == 0.0:
         raise ParameterError("acvf_tfln2: d = 0 is not admitted for type II")
     routes = {"bessel": _acvf_tfln2_bessel, "fourier": _acvf_tfln2_fourier}

@@ -149,12 +149,12 @@ def frac_derivative_plus(f: GridFunction, kappa: float, lam: float) -> GridFunct
 
 
 def _padded_fft(f: GridFunction):
+    """rfft of f zero-padded to m = 2n points, with its angular frequencies
+    omega >= 0 (the other half of the spectrum is the conjugate mirror)."""
     n = f.grid.n_cells + 1
     m = 2 * n
-    vals = np.zeros(m)
-    vals[:n] = f.values
-    omega = 2.0 * np.pi * np.fft.fftfreq(m, d=f.grid.dx)
-    return np.fft.fft(vals), omega, n
+    omega = 2.0 * np.pi * np.fft.rfftfreq(m, d=f.grid.dx)
+    return rfft(f.values, m), omega, n, m
 
 
 def fourier_multiplier(f: GridFunction, kappa: float, lam: float,
@@ -170,10 +170,10 @@ def fourier_multiplier(f: GridFunction, kappa: float, lam: float,
         raise ValueError("fourier_multiplier: requires kappa > 0 and lambda > 0")
     if sign not in ("-", "+"):
         raise ValueError("fourier_multiplier: sign must be '-' or '+'")
-    fhat, omega, n = _padded_fft(f)
+    fhat, omega, n, m = _padded_fft(f)
     s = -1.0 if sign == "-" else 1.0
     mult = (lam + s * 1j * omega) ** kappa
-    out = np.fft.ifft(fhat * mult).real[:n]
+    out = irfft(fhat * mult, m)[:n]
     return GridFunction(f.grid, out)
 
 
@@ -185,9 +185,9 @@ def sobolev_norm(f: GridFunction, kappa: float, lam: float) -> float:
     """
     if kappa < 0 or lam <= 0:
         raise ValueError("sobolev_norm: requires kappa >= 0 and lambda > 0")
-    fhat, omega, n = _padded_fft(f)
-    m = fhat.size
-    weight = (lam ** 2 + omega ** 2) ** kappa
-    # fhat_cont = dx * fft; d omega = 2 pi / (m dx)
-    val = np.sum(weight * np.abs(fhat) ** 2) * f.grid.dx / m
+    fhat, omega, _, m = _padded_fft(f)
+    power = (lam ** 2 + omega ** 2) ** kappa * np.abs(fhat) ** 2
+    # fhat_cont = dx * fft; d omega = 2 pi / (m dx); the bins 0 < omega <
+    # pi/dx stand for their negative mirrors too, so they count twice
+    val = (2.0 * np.sum(power) - power[0] - power[-1]) * f.grid.dx / m
     return float(np.sqrt(val))

@@ -214,20 +214,22 @@ def run_simulate(cfg):
 # curve -> (engine, default --range, column names, units, row values after x);
 # analytics functions are looked up at call time.  Engine 1: closed-form H
 # (cov2, acvf2, acvf2band); acvf1 with its far-lag plateau cancelled exactly.
+# Engine 2: far-lag second differences of acvf1 and acvf2 by one stencil
+# rule, and the band calibrated on those acvf2 values.
 _CURVES = {
     "cov1": (0, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp1(p, t, t, el2)]),
     "cov2": (1, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp2(p, t, t, el2)]),
-    "acvf1": (1, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf1": (2, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln1(p, h, el2)]),
-    "acvf2": (1, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf2": (2, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln2(p, h, el2)]),
     "spec1": (0, "0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
               lambda p, w, el2: [el2 * analytics.spec_density_tfln1(p, w)]),
     "spec2": (0, "0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
               lambda p, w, el2: [el2 * analytics.spec_density_tfln2(p, w)]),
-    "acvf2band": (1, "1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
+    "acvf2band": (2, "1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
                   lambda p, h, el2: [el2 * b for b in
                                      analytics.acvf_tfln2_asymptotic_band(p, h)]),
 }

@@ -72,7 +72,7 @@ __all__ = [
     "kernel_g1", "kernel_g2",
     "simulate_tflp1", "simulate_tflp2", "simulate_smooth_regime",
     "simulate_ensemble", "noise_path",
-    "truncation_width", "total_variation",
+    "truncation_width",
 ]
 
 # one FFT pair of a path costs about this many einsum multiply-adds per
@@ -375,8 +375,3 @@ def noise_path(path: SamplePath, unit_lag: float = 1.0) -> SamplePath:
     return SamplePath(grid, noise, kind,
                       dict(path.meta, derived="noise", unit_lag=unit_lag))
 
-
-def total_variation(values: np.ndarray) -> float:
-    """Discrete total variation sum |x_{k+1} - x_k| of a sampled path."""
-    values = np.asarray(values, dtype=float)
-    return float(np.sum(np.abs(np.diff(values))))

@@ -4,8 +4,11 @@ Struve functions.
 lower_gamma(s, x) = int_0^x u^{s-1} e^{-u} du (s > 0) and
 upper_gamma(s, x) = int_x^inf u^{s-1} e^{-u} du, with Gamma(0, x) = E_1(x)
 and negative s reached by Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s.
-Evaluation is delegated to scipy.special; a slow quadrature form of
-K_nu is kept in the test suite as an independent oracle.
+Evaluation is delegated to scipy.special, except e^z K_nu(z) for
+z >= 2^29, near the bound 2^30 past which scipy's kve returns nan; there
+three terms of the large-argument expansion are exact to rounding.  A
+slow quadrature form of K_nu is kept in the test suite as an independent
+oracle.
 """
 
 import numpy as np
@@ -70,16 +73,29 @@ def struve_l(nu, z):
     return float(out) if out.ndim == 0 else out
 
 
+# scipy's kve returns nan from z = 2^30 on (the argument bound of its AMOS
+# routine); from 2^29 on, three terms of the large-argument expansion are
+# exact to rounding for |nu| up to about 100
+_KVE_ASYMPTOTIC = 2.0 ** 29
+
+
 def bessel_k_scaled(nu, z):
     """Exponentially scaled Bessel function e^z * K_nu(z), z > 0.
 
-    Avoids underflow of K_nu itself for large z; used by the Bessel route
-    of the TFLN II autocovariance.
+    Avoids underflow of K_nu itself for large z; used by the far-lag rule
+    of the noise autocovariances.  For z >= 2^29 it is
+    sqrt(pi/2z) sum_k a_k(nu)/z^k to k = 2 (DLMF 10.40.2).
     """
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):
         raise ValueError("bessel_k_scaled: requires z > 0")
     out = _sp.kve(nu, z)
+    far = z >= _KVE_ASYMPTOTIC
+    if far.any():
+        m, q = 4.0 * np.square(nu), 0.125 / z
+        series = 1.0 + (m - 1.0) * q * (1.0 + (m - 9.0) * q / 2.0
+                                        * (1.0 + (m - 25.0) * q / 3.0))
+        out = np.where(far, np.sqrt(0.5 * np.pi / z) * series, out)
     if out.ndim == 0:
         return float(out)
     return out

@@ -24,7 +24,7 @@ from tflp import (
     frac_integral_minus, gamma_fn, kernel_g1, kernel_g2, noise_path,
     periodogram, sample_increments, second_moment, simulate_ensemble,
     simulate_tflp1, simulate_tflp2, spec_density_tfln1, structure_exponent,
-    total_variation, transform_integrand, truncation_width, var_limit_tflp1,
+    transform_integrand, truncation_width, var_limit_tflp1,
 )
 from tflp.cli import main as cli_main
 
@@ -304,6 +304,11 @@ def test_criterion_09_spectral_shape():
 # ---------------------------------------------------------------------------
 # 10. Holder scaling and total variation
 
+def _total_variation(values):
+    """Discrete total variation sum |x_{k+1} - x_k| of a sampled path."""
+    return float(np.sum(np.abs(np.diff(values))))
+
+
 def _mean_not_below(values, floor, alpha=1e-3):
     """One-sided t-test of E[values] >= floor at false-alarm level alpha:
     fails only when the mean sits below floor by more than the t quantile of
@@ -335,7 +340,7 @@ def test_criterion_10_holder_and_variation():
     for stream in range(8):
         v = simulate_tflp1(p, SampleGrid(0.0, 4.0, 512), cp, trunc_width=R,
                            seed=3, refine=8, stream=stream).values
-        smooth.append(total_variation(v) / total_variation(v[::2]))
+        smooth.append(_total_variation(v) / _total_variation(v[::2]))
     assert all(0.9 <= r <= 1.1 for r in smooth)
 
     # rough regime: variation keeps growing; the coarse window where
@@ -348,7 +353,7 @@ def test_criterion_10_holder_and_variation():
     for stream in range(64):
         v = simulate_tflp1(p, SampleGrid(0.0, 64.0, 128), cp, trunc_width=R,
                            seed=3, refine=8, stream=stream).values
-        rough.append(total_variation(v) / total_variation(v[::2]))
+        rough.append(_total_variation(v) / _total_variation(v[::2]))
     assert _mean_not_below(rough, 1.3), (np.mean(rough), np.std(rough))
     # the smooth paths, whose ratio is about 1.00, fail the same check
     assert not _mean_not_below(smooth, 1.3)

@@ -263,6 +263,51 @@ def test_acvf_tfln1_far_lags_relative_to_mpmath(d):
             assert acvf_tfln1(p, -h) == acvf_tfln1(p, h)
 
 
+@pytest.mark.parametrize("d, lam, h", [
+    # at lam = 0.01 the three f(t) = t^nu K_nu(lam t) of a far lag agree to
+    # about lam^2, so differencing them lost 6-7e-10 relative; the stencil
+    # rule integrates f'' instead
+    (1.3, 0.01, 200.0), (3.0, 0.01, 200.0),
+    # just past lam (h - 1) = 1/2 the branch point of f'' at t = 0 sits a
+    # quarter of the decay scale from the stencil's end; panels of width
+    # 2/lam that do not grade towards it are up to 3e-7 off
+    (-0.3, 1.0, 1.6), (1.3, 1.0, 1.6), (-0.3, 10.0, 1.06), (1.3, 10.0, 1.06)])
+def test_acvf_tfln1_stencil_rule_relative_to_mpmath(d, lam, h):
+    p = TemperedParams(d, lam)
+    assert abs(acvf_tfln1(p, h) / _acvf1_mpmath(d, lam, h) - 1.0) < 1e-12
+
+
+def _acvf2_mpmath(d, lam, h):
+    """gamma2(h) = K [H(h+1) - 2 H(h) + H(h-1)] from the closed form of the
+    module docstring (Bessel K, Struve L) in mpmath, with digits to spare
+    over the ~lam h / ln 10 that the second difference cancels."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + int(0.5 * lam * (h + 1.0))):
+        D, L = mpmath.mpf(d), mpmath.mpf(lam)
+        mu, nu = D - 0.5, D + 0.5
+        A = 2 * mpmath.gamma(1 + 2 * D) / (2 * L) ** (1 + 2 * D)
+        B = 2 * mpmath.gamma(1 + D) / mpmath.sqrt(mpmath.pi) * (2 * L) ** -nu
+
+        def KH(x):
+            z = L * x
+            S = z * (mpmath.besselk(mu, z) * mpmath.struvel(mu - 1, z)
+                     + mpmath.struvel(mu, z) * mpmath.besselk(mu - 1, z))
+            G = A - B * x ** nu * mpmath.besselk(nu, z)
+            return x * S / (2 * L ** (2 * D)) - G / (mpmath.gamma(D) * mpmath.gamma(1 + D))
+        H = mpmath.mpf(h)
+        return float(KH(H + 1) - 2 * KH(H) + KH(H - 1))
+
+
+@pytest.mark.parametrize("lam", [10.0, 30.0])
+@pytest.mark.parametrize("d", [-0.3, 0.2, 1.3])
+def test_acvf_tfln2_far_lag_relative_to_mpmath(d, lam):
+    # the stencil rule's panels must follow the decay scale 1/lam: one
+    # 8-node panel per half of the stencil is 2e-7 off at lam = 10, 9e-3 at
+    # lam = 30, where gamma2(2.5) is 1e-10 and 1e-23
+    p = TemperedParams(d, lam)
+    assert abs(acvf_tfln2(p, 2.5) / _acvf2_mpmath(d, lam, 2.5) - 1.0) < 1e-12
+
+
 def test_acvf_tfln1_asymptotic_rejects_nonpositive_lags():
     p = TemperedParams(-0.3, 1.0)
     for h in (0.0, -1.0, [1.0, 0.0]):

