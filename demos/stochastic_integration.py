@@ -13,7 +13,7 @@ import numpy as np
 
 from tflp import (
     CompoundPoisson, ElementaryFunction, GaussianJumps, GridFunction,
-    SampleGrid, TemperedParams, approximate_by_elementary, sample_increments,
+    SampleGrid, TemperedParams, approximate_by_elementary, integrate_general,
     second_moment, transform_integrand, truncation_width,
 )
 
@@ -29,12 +29,8 @@ def isometry_table(n_draws=4000):
           f"{'MC':>10} {'ratio':>6}")
     for target, d in (("TFLP2", 0.3), ("TFLP2", -0.3),
                       ("TFLP1", -0.3), ("TFLP1", 0.3)):
-        p = TemperedParams(d, 1.0)
-        tr = transform_integrand(f, p, target, dx=2.0 ** -6)
-        g = tr.transformed.grid
-        F = tr.transformed.values[:-1]
-        vals = np.array([F @ sample_increments(driver, g, 17, stream=i)
-                         for i in range(n_draws)])
+        vals, tr = integrate_general(f, TemperedParams(d, 1.0), driver, 17,
+                                     n_draws, target, dx=2.0 ** -6)
         pred = EL2 * tr.norm ** 2
         mc = np.mean(vals ** 2)
         print(f"{tr.regime:>7} {target:>7} {d:6.2f} {pred:10.4f} "

@@ -17,7 +17,8 @@ import numpy as np
 
 from tflp import (
     CompoundPoisson, SampleGrid, TemperedParams, UniformSymmetric,
-    simulate_tflp1, simulate_tflp2, truncation_width, var_limit_tflp1,
+    second_moment, simulate_tflp1, simulate_tflp2, truncation_width,
+    var_limit_tflp1,
 )
 from tflp.cli import write_csv
 
@@ -49,8 +50,7 @@ def main():
             units.append("value")
             line = f"{lam:8.2f} {np.std(path.values):12.4f}"
             if kind == "tflp1":
-                EL2 = driver.intensity * driver.jump_law.second_moment()
-                line += f" {np.sqrt(var_limit_tflp1(p, EL2)):12.4f}"
+                line += f" {np.sqrt(var_limit_tflp1(p, second_moment(driver))):12.4f}"
             print(line)
         out = os.path.join(OUT, f"paths_{kind}.csv")
         write_csv(out, names, units, np.column_stack(cols))

@@ -387,6 +387,8 @@ def empirical_acvf(samples, max_lag: int):
     """Biased (1/N) sample autocovariance at lags 0..max_lag, FFT based."""
     x = np.asarray(samples, dtype=float)
     n = len(x)
+    if max_lag < 0:
+        raise ValueError("empirical_acvf: max_lag must be nonnegative")
     if n <= max_lag:
         raise ValueError("empirical_acvf: need more samples than max_lag")
     x = x - x.mean()
@@ -405,6 +407,8 @@ def periodogram(samples, segment_length: int):
     """
     x = np.asarray(samples, dtype=float)
     L = int(segment_length)
+    if L < 4:  # a 2-point Hann window is all zeros; L < 2 leaves no segment step
+        raise ValueError("periodogram: segment_length must be at least 4")
     if L > len(x):
         raise ValueError("periodogram: segment_length exceeds series length")
     if L & (L - 1):

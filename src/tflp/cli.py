@@ -37,11 +37,10 @@ import numpy as np
 from . import analytics
 from .calculus import (fourier_multiplier, frac_derivative_minus,
                        frac_integral_minus)
-from .driver import (DRIVER_DEFAULTS, sample_increments, second_moment,
-                     spec_from_config)
+from .driver import DRIVER_DEFAULTS, second_moment, spec_from_config
 from .errors import ParameterError, ToleranceError, check_budget
 from .grids import GridFunction, SampleGrid
-from .integration import ElementaryFunction, transform_integrand
+from .integration import ElementaryFunction, integrate_general
 from .processes import (TemperedParams, _unit_lag_noise, kernel_g1, kernel_g2,
                         simulate_ensemble)
 from .special import gamma_fn
@@ -322,19 +321,15 @@ def _verify_covariance(cfg, table):
 
 def _verify_isometry(cfg, table):
     n = cfg["n_draws"]
+    if n < 2:
+        raise ParameterError(f"verify isometry: --n-draws must be at least 2, got {n}")
     driver = spec_from_config(cfg)
     el2 = second_moment(driver)
     cases = [("TFLP2", 0.3), ("TFLP2", -0.3), ("TFLP1", -0.3), ("TFLP1", 0.3)]
     f = ElementaryFunction.indicator(1.0)
     for target, d in cases:
-        p = TemperedParams(d, 1.0)
-        tr = transform_integrand(f, p, target, dx=2.0 ** -6)
-        g = tr.transformed.grid
-        F = tr.transformed.values[:-1]
-        draws = np.empty(n)
-        for i in range(n):
-            draws[i] = np.sum(F * sample_increments(driver, g, cfg["seed"],
-                                                    stream=i))
+        draws, tr = integrate_general(f, TemperedParams(d, 1.0), driver, cfg["seed"],
+                                      n, target, dx=2.0 ** -6)
         m2 = draws.var()
         m4 = np.mean((draws - draws.mean()) ** 4)
         se = float(np.sqrt(max(m4 - m2 ** 2, 0.0) / n) / m2)

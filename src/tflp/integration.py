@@ -199,34 +199,38 @@ def integrate_elementary(f: ElementaryFunction, path: SamplePath) -> float:
 
 
 def integrate_general(f, params: TemperedParams, driver: LevyDriverSpec,
-                      seed: int, target: str = "TFLP2",
-                      grid: SampleGrid | None = None, dx: float = 2.0 ** -8,
-                      stream: int = 0):
-    """One Monte Carlo draw of int f dS, realized as sum F(x_k) dL_k.
+                      seed: int, n_draws: int, target: str = "TFLP2",
+                      grid: SampleGrid | None = None, dx: float = 2.0 ** -8):
+    """n_draws Monte Carlo draws of int f dS, each realized as sum F(x_k) dL_k
+    with f transformed once; draw i takes its increments from RNG stream i.
 
-    Returns (value, transform); the transform's EL2 * norm**2 is the
-    exact variance of the returned sum, which is the testable isometry.
+    Returns (draws, transform); the transform's EL2 * norm**2 is the
+    exact variance of each draw, which is the testable isometry.
     """
     tr = transform_integrand(f, params, target, grid=grid, dx=dx)
-    g = tr.transformed.grid
-    dL = sample_increments(driver, g, seed, stream=stream)
-    value = float(np.sum(tr.transformed.values[:-1] * dL))
-    return value, tr
+    g, F = tr.transformed.grid, tr.transformed.values[:-1]
+    # np.sum, not F @ dL: a BLAS dot product may sum in another order
+    draws = np.array([np.sum(F * sample_increments(driver, g, seed, stream=i))
+                      for i in range(n_draws)])
+    return draws, tr
+
+
+_MAX_LEVELS = 12  # dyadic refinements of approximate_by_elementary
 
 
 def approximate_by_elementary(f: GridFunction, params: TemperedParams,
-                              target: str = "TFLP2", tol: float = 1e-3,
-                              max_levels: int = 12) -> ElementaryFunction:
+                              target: str = "TFLP2",
+                              tol: float = 1e-3) -> ElementaryFunction:
     """Step approximation of f with transform-space distance below tol.
 
     Dyadically refines a partition of f's grid, averaging f per piece,
     until ||transform(f) - transform(f_n)|| < tol; raises ToleranceError
-    when max_levels refinements, or one piece per grid cell if that comes
-    first, do not reach tol.
+    when _MAX_LEVELS = 12 refinements, or one piece per grid cell if that
+    comes first, do not reach tol.
     """
     grid = f.grid
     tr_f = transform_integrand(f, params, target)
-    levels = min(max_levels, int(grid.n_cells).bit_length() - 1)
+    levels = min(_MAX_LEVELS, int(grid.n_cells).bit_length() - 1)
     for level in range(levels + 1):
         idx = np.linspace(0, grid.n_cells, 2 ** level + 1).astype(int)
         fn = ElementaryFunction(grid.points[idx], tuple(

@@ -21,8 +21,8 @@ from tflp import (
     GridFunction, SampleGrid, TemperedParams, UniformSymmetric,
     acvf_tfln1, acvf_tfln2, bessel_k, cov_tflp1, cov_tflp2,
     fit_semi_lrd, fourier_multiplier, frac_derivative_minus,
-    frac_integral_minus, gamma_fn, kernel_g1, kernel_g2, noise_path,
-    periodogram, sample_increments, second_moment, simulate_ensemble,
+    frac_integral_minus, gamma_fn, integrate_general, kernel_g1, kernel_g2,
+    noise_path, periodogram, second_moment, simulate_ensemble,
     simulate_tflp1, simulate_tflp2, spec_density_tfln1, structure_exponent,
     transform_integrand, truncation_width, var_limit_tflp1,
 )
@@ -190,15 +190,10 @@ def test_criterion_06_calculus_inversion_and_multiplier():
 # ---------------------------------------------------------------------------
 # 7. stochastic integration isometry
 
-def _mc_variance_ratio(tr, driver, n_draws, seed):
-    g = tr.transformed.grid
-    F = tr.transformed.values[:-1]
-    vals = np.empty(n_draws)
-    for i in range(n_draws):
-        vals[i] = F @ sample_increments(driver, g, seed, stream=i)
+def _mc_variance_ratio(vals, tr, driver):
     pred = second_moment(driver) * tr.norm ** 2
     v = np.mean(vals ** 2)
-    se = np.sqrt((np.mean(vals ** 4) - v ** 2) / n_draws)
+    se = np.sqrt((np.mean(vals ** 4) - v ** 2) / len(vals))
     return abs(v / pred - 1.0), 3.0 * se / pred
 
 
@@ -224,11 +219,10 @@ def test_criterion_07_isometry_suites():
                 # wide enough for the calculus operators' truncation bound
                 g = SampleGrid(-2.0 - 2.0 * R, 2.0, int(round((4.0 + 2.0 * R) * 64)))
                 f = GridFunction.from_callable(g, bump if f == "bump" else bump2)
-                tr = transform_integrand(f, p, target)
-            else:
-                tr = transform_integrand(f, p, target, dx=2.0 ** -6)
+            vals, tr = integrate_general(f, p, driver, 90 + i, 10_000, target,
+                                         dx=2.0 ** -6)
             assert tr.regime == regime
-            dev, band = _mc_variance_ratio(tr, driver, 10_000, seed=90 + i)
+            dev, band = _mc_variance_ratio(vals, tr, driver)
             worst = max(worst, dev / band)
             assert dev <= band, (regime, i, dev, band)
 

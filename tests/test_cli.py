@@ -12,11 +12,12 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 import tflp
-from tflp import errors
+from tflp import cli, errors
 from tflp.cli import main, read_csv
 from tflp.driver import (CompoundPoisson, TemperedStable, UniformSymmetric,
-                         spec_from_config)
+                         sample_increments, second_moment, spec_from_config)
 from tflp.grids import SampleGrid
+from tflp.integration import ElementaryFunction, transform_integrand
 from tflp.processes import TemperedParams, noise_path, simulate_tflp1, simulate_tflp2
 
 
@@ -446,6 +447,12 @@ def test_sub_step_budget_bounds_time_on_short_grids(tmp_path, capsys):
     ("rerun {tmp}/m.json", {"m.json": json.dumps({"command": "analytic", "config": {
         "curve": "cov1", "d": "abc", "lam": 1.0, "el2": 1.0, "range": "0:3:1",
         "out": "x.csv"}})}, 2),
+    # a segment needs a step of L/2 >= 1, and a 2-point Hann window is all zeros
+    *(("estimate periodogram --input {tmp}/in.csv --segment-length %d "
+       "--out {tmp}/x.csv" % L, {"in.csv": "t,x\ntime,value\n0,1\n1,2\n2,0\n3,1\n"}, 2)
+      for L in (0, 1, 2)),
+    ("estimate acvf --input {tmp}/in.csv --max-lag -1 --out {tmp}/x.csv",
+     {"in.csv": "t,x\ntime,value\n0,1\n1,2\n2,0\n"}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, code):
     for name, text in files.items():
@@ -463,3 +470,31 @@ def test_verify_suites_pass(tmp_path, capsys):
             assert run(["verify", suite]) == 0
     text = capsys.readouterr().out
     assert "PASS" in text and "FAIL" not in text.replace("FAILED", "")
+
+
+@pytest.mark.parametrize("argv", [["isometry", "--n-draws", "0"],
+                                  ["isometry", "--n-draws", "1"],
+                                  ["all", "--n-draws", "1"]])
+def test_verify_with_fewer_than_two_draws_exits_2(tmp_path, capsys, argv):
+    # the check needs a sample variance; nothing is drawn or written
+    out = tmp_path / "v.csv"
+    assert run(["verify", *argv, "--out", out]) == 2
+    assert "--n-draws must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_isometry_values_follow_the_draw_recipe():
+    # each ratio is Var(sum F dL on streams 0..n-1) / (EL2 ||F||^2), bit for bit
+    cfg = {"n_draws": 40, "seed": 0}
+    table = []
+    cli._verify_isometry(cfg, table)
+    driver = spec_from_config(cfg)
+    f = ElementaryFunction.indicator(1.0)
+    cases = [("TFLP2", 0.3), ("TFLP2", -0.3), ("TFLP1", -0.3), ("TFLP1", 0.3)]
+    assert len(table) == len(cases)
+    for (name, value, *_), (target, d) in zip(table, cases):
+        tr = transform_integrand(f, TemperedParams(d, 1.0), target, dx=2.0 ** -6)
+        F, g = tr.transformed.values[:-1], tr.transformed.grid
+        draws = np.array([np.sum(F * sample_increments(driver, g, 0, stream=i))
+                          for i in range(40)])
+        assert value == draws.var() / (second_moment(driver) * tr.norm ** 2), name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tflp import integration
 from tflp.calculus import frac_derivative_minus, frac_integral_minus
 from tflp.driver import CompoundPoisson, GaussianJumps, sample_increments, second_moment
 from tflp.errors import ToleranceError
@@ -189,12 +190,8 @@ def test_integrate_elementary_telescopes():
 def test_integrate_general_isometry_small_sample():
     p = TemperedParams(-0.3, 1.0)
     f = ElementaryFunction.indicator(1.0)
-    vals = []
-    for i in range(800):
-        v, tr = integrate_general(f, p, CP, seed=55, target="TFLP2",
-                                  dx=2.0 ** -5, stream=i)
-        vals.append(v)
-    vals = np.asarray(vals)
+    vals, tr = integrate_general(f, p, CP, seed=55, n_draws=800, target="TFLP2",
+                                 dx=2.0 ** -5)
     pred = second_moment(CP) * tr.norm ** 2
     se = np.sqrt((np.mean(vals ** 4) - np.mean(vals ** 2) ** 2) / len(vals))
     assert abs(np.mean(vals ** 2) - pred) < 4.0 * se
@@ -203,13 +200,27 @@ def test_integrate_general_isometry_small_sample():
 def test_integrate_general_is_deterministic_per_stream():
     p = TemperedParams(0.3, 1.0)
     f = ElementaryFunction.indicator(1.0)
-    v1, _ = integrate_general(f, p, CP, seed=4, dx=2.0 ** -5, stream=2)
-    v2, _ = integrate_general(f, p, CP, seed=4, dx=2.0 ** -5, stream=2)
-    v3, _ = integrate_general(f, p, CP, seed=4, dx=2.0 ** -5, stream=3)
-    assert v1 == v2 and v1 != v3
+    draws, _ = integrate_general(f, p, CP, seed=4, n_draws=4, dx=2.0 ** -5)
+    assert draws[2] != draws[3]
 
 
-def test_approximate_by_elementary_converges():
+@pytest.mark.parametrize("on_grid", [False, True], ids=["step", "grid"])
+def test_integrate_general_draw_i_is_stream_i_of_the_transform(on_grid):
+    # draw i is sum F dL on stream i with np.sum, bit for bit, so that the
+    # bytes of `verify isometry` do not depend on a BLAS dot product
+    p = TemperedParams(0.3, 1.0)
+    f = ElementaryFunction((0.0, 0.5, 1.5), (1.0, -0.5))
+    if on_grid:
+        g = SampleGrid(-2.0 - 2.0 * truncation_width(p, 1e-8), 2.0, 2 ** 10)
+        f = GridFunction.from_callable(g, f)
+    draws, tr = integrate_general(f, p, CP, seed=9, n_draws=5, dx=2.0 ** -6)
+    F = tr.transformed.values[:-1]
+    for i in range(5):
+        dL = sample_increments(CP, tr.transformed.grid, 9, stream=i)
+        assert draws[i] == np.sum(F * dL)
+
+
+def test_approximate_by_elementary_converges(monkeypatch):
     p = TemperedParams(0.3, 1.0)
     R = truncation_width(p, 1e-8)
     g = SampleGrid(-2.0 * R, 2.0, 2 ** 11)
@@ -220,11 +231,12 @@ def test_approximate_by_elementary_converges():
     gap = np.sqrt(np.sum((tr_f.transformed.values
                           - tr_n.transformed.values) ** 2) * g.dx)
     assert gap < 1e-2
-    with pytest.raises(ToleranceError, match=r"in 3 refinements \(8 pieces\)$"):
-        approximate_by_elementary(f, p, tol=1e-12, max_levels=3)
-    # an 8-cell grid is refined 3 times, to a piece per cell, whatever
-    # max_levels allows beyond that
+    # an 8-cell grid is refined 3 times, to a piece per cell, below the
+    # level cap; a cap of 3 stops the 2048-cell grid at the same point
     f8 = GridFunction.from_callable(SampleGrid(-32.0, 0.0, 8),
                                     lambda x: np.exp(-x ** 2))
     with pytest.raises(ToleranceError, match=r"in 3 refinements \(8 pieces\)$"):
-        approximate_by_elementary(f8, p, tol=1e-12, max_levels=12)
+        approximate_by_elementary(f8, p, tol=1e-12)
+    monkeypatch.setattr(integration, "_MAX_LEVELS", 3)
+    with pytest.raises(ToleranceError, match=r"in 3 refinements \(8 pieces\)$"):
+        approximate_by_elementary(f, p, tol=1e-12)
