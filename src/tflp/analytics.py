@@ -13,10 +13,10 @@ Central object: with nu = d + 1/2,
          - (2 Gamma(1+d)/sqrt(pi)) (2 lam)^{-nu} |t|^nu K_nu(lam |t|),
 
 so that Cov[S^I(t), S^I(s)] = EL2/(2 Gamma(1+d)^2) {G(t)+G(s)-G(t-s)}.
-G(0) = 0 (the two terms cancel exactly in the limit); for small
-lam |t| the difference is evaluated by a series to avoid catastrophic
-cancellation: the reflection form of K_nu, or the integer-order series
-(DLMF 10.31.1) when nu is an integer, where that form divides by 0.
+G(0) = 0, where the two terms cancel; so that no digits cancel at small
+lam |t|, G is taken for every t and nu as one positive integral (DLMF
+10.32.10, _big_g): G(t) = (A/Gamma(nu)) int_0^inf e^{-u} u^{nu-1}
+(1 - e^{-q/u}) du, with q = (lam t)^2/4 and A the first term above.
 
 The type II covariance has the same shape, with mu = d - 1/2:
 Cov[S^II(s), S^II(t)] = EL2 K {H(s) + H(t) - H(|t-s|)},
@@ -62,9 +62,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ToleranceError
 from .processes import TemperedParams
-from .special import bessel_k, bessel_k_scaled, gamma_fn, struve_l
+from .special import (bessel_k, bessel_k_scaled, gamma_fn, lower_gamma_at_log,
+                      struve_l)
 
 __all__ = [
     "SemiLrdFit",
@@ -90,52 +91,55 @@ class SemiLrdFit:
     residual_rms: float
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre8():
+    return np.polynomial.legendre.leggauss(8)
+
+
+@lru_cache(maxsize=None)
+def _g_nodes(m: int, panels: int):
+    """Nodes y = log u and weights w e^{-u} of the body of _big_g: the last
+    `panels` 8-point Gauss-Legendre panels [j, j+1]/(2m) below u = e^{5.5},
+    with exact edges, so no node carries the rounding of a far-off start;
+    read-only, as the cache hands them to every caller."""
+    x, w = _gauss_legendre8()
+    j = np.arange(11 * m - panels, 11 * m)[:, None]
+    y = ((j + 0.5 * (1.0 + x)) / (2 * m)).ravel()
+    weights = np.tile(w / (4 * m), panels) * np.exp(-np.exp(y))
+    y.setflags(write=False)
+    weights.setflags(write=False)
+    return y, weights
+
+
 def _big_g(d: float, lam: float, t: float) -> float:
-    """G(t) = |t|^{1+2d} C^2_{d,lam,|t|}; G(0) = 0, G(inf) = plateau."""
+    """G(t) = |t|^{1+2d} C^2_{d,lam,|t|}; G(0) = 0, G(inf) = A.
+
+    By DLMF 10.32.10, G(t) = (A/Gamma(nu)) int_0^inf e^{-u} u^{nu-1}
+    (1 - e^{-q/u}) du, q = (lam t)^2/4: a positive integrand, so no digits
+    cancel.  Below u0 <= q/40 the bracket is 1 to within e^{-40}, so that
+    head is lower_gamma(nu, u0); the body is taken in y = log u on the k
+    panels of _g_nodes from the edge below log(q/40) to u = e^{5.5}, past
+    which e^{-u} u^nu is below rounding for nu up to 86 (where Gamma(1+2d)
+    overflows).  The integrand e^{nu y - e^y} narrows like nu^{-1/2}, so
+    m = ceil(sqrt(nu/6)) panels per half unit of y keep the rule within
+    1e-14.  log q is a sum of logs, so lam t may underflow; but the terms
+    underflow where G/A is below 1e-290, so that raises ToleranceError."""
     t = abs(float(t))
     if t == 0.0:
         return 0.0
     nu = d + 0.5
-    z = lam * t
     A = 2.0 * gamma_fn(1.0 + 2.0 * d) / (2.0 * lam) ** (1.0 + 2.0 * d)
-    B = (2.0 * gamma_fn(1.0 + d) / _SQRT_PI) * (2.0 * lam) ** (-nu)
-    if z <= 0.5 and nu == int(nu):
-        # z^n K_n(z) by DLMF 10.31.1, q = z^2/4, less its k = 0 term 2^{n-1}
-        # (n-1)! = A lam^n / B; harm = psi(k+1) + psi(n+k+1) + 2 euler_gamma
-        n, q = int(nu), 0.25 * z * z
-        total = sum(2.0 ** (n - 1) * math.factorial(n - k - 1) / math.factorial(k)
-                    * (-q) ** k for k in range(1, n))
-        term = (-2.0 * q) ** n / math.factorial(n)
-        harm = sum(1.0 / j for j in range(1, n + 1))
-        for k in range(12):  # q^k / (k! (n+k)!) < 1e-25 beyond, as q <= 1/16
-            if k > 0:
-                term *= q / (k * (n + k))
-                harm += 1.0 / k + 1.0 / (n + k)
-            total += term * (0.5 * (harm - math.log(q)) - np.euler_gamma)
-        return -B * lam ** (-n) * total
-    if z <= 0.5:
-        # series of A - B t^nu K_nu(lam t) with the leading singular term
-        # cancelled analytically (reflection form of K_nu); no cancellation
-        pref = B * np.pi / (2.0 * np.sin(np.pi * nu))
-        half = 0.5 * lam
-        total = 0.0
-        # + sum_{k>=0} (lam/2)^{2k+nu} t^{2k+2nu} / (k! Gamma(k+1+nu))
-        # - sum_{k>=1} (lam/2)^{2k-nu} t^{2k}    / (k! Gamma(k+1-nu))
-        fact = 1.0
-        for k in range(0, 24):
-            if k > 0:
-                fact *= k
-            term = half ** (2 * k + nu) * t ** (2 * k + 2 * nu) \
-                / (fact * gamma_fn(k + 1.0 + nu))
-            if k >= 1:
-                term -= half ** (2 * k - nu) * t ** (2 * k) \
-                    / (fact * gamma_fn(k + 1.0 - nu))
-            total += term
-            if k > 2 and abs(term) < 1e-18 * abs(total):
-                break
-        return pref * total
-    # K_nu underflows only where its term is far below the rounding of A
-    return A - B * t ** nu * bessel_k(nu, z)
+    log_q = 2.0 * (math.log(lam) + math.log(t)) - math.log(4.0)
+    m = math.ceil(math.sqrt(nu / 6.0))
+    k = max(11 * m - math.floor(2 * m * (log_q - math.log(40.0))), 0)
+    y, weights = _g_nodes(m, 1 << k.bit_length())  # powers of two: few cached
+    y, weights = y[len(y) - 8 * k:], weights[len(y) - 8 * k:]
+    minus_body = np.dot(weights, np.exp(nu * y) * np.expm1(-np.exp(log_q - y)))
+    ratio = (lower_gamma_at_log(nu, (11 * m - k) / (2 * m)) - minus_body) / gamma_fn(nu)
+    if ratio < 1e-290:
+        raise ToleranceError(f"G: at lam = {lam:g}, t = {t:g} it is below 1e-290 "
+                             "of its plateau, out of double range")
+    return A * ratio
 
 
 def ct_squared(params: TemperedParams, t: float) -> float:
@@ -186,11 +190,6 @@ def cov_tflp2(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> f
     if d == 0.0:
         raise ParameterError("cov_tflp2: d = 0 is not admitted for type II")
     return EL2 * (_big_h(d, lam, s) + _big_h(d, lam, t) - _big_h(d, lam, t - s))
-
-
-@lru_cache(maxsize=1)
-def _gauss_legendre8():
-    return np.polynomial.legendre.leggauss(8)
 
 
 @lru_cache(maxsize=128)

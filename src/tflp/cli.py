@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -68,7 +69,8 @@ def write_csv(path, names, units, rows):
 
 def read_csv(path):
     """Read a two-line-header CSV; returns (names, array). Raises
-    ParameterError with a line number on malformed rows, and when there
+    ParameterError with a line number on a malformed or non-finite value and
+    on a row whose column count differs from the first row's, and when there
     are fewer than two columns or two data rows."""
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -77,9 +79,15 @@ def read_csv(path):
         if not line.strip():
             continue
         try:
-            data.append([float(v) for v in line.split(",")])
+            row = [float(v) for v in line.split(",")]
         except ValueError as exc:
             raise ParameterError(f"{path}:{i}: {exc}") from exc
+        if data and len(row) != len(data[0]):
+            raise ParameterError(f"{path}:{i}: {len(row)} columns, the first "
+                                 f"row has {len(data[0])}")
+        if not all(map(math.isfinite, row)):
+            raise ParameterError(f"{path}:{i}: non-finite value")
+        data.append(row)
     data = np.asarray(data)
     if data.ndim != 2 or min(data.shape) < 2:
         raise ParameterError(f"{path}: expected two header lines, then at "
@@ -184,6 +192,8 @@ def _parse_range(spec):
         start, stop, step = (float(v) for v in spec.split(":"))
     except (ValueError, AttributeError) as exc:
         raise ParameterError(f"range must be start:stop:step, got {spec!r}") from exc
+    if not np.all(np.isfinite([start, stop, step])):
+        raise ParameterError(f"range parts must be finite, got {spec!r}")
     if step <= 0 or stop <= start:
         raise ParameterError(f"empty range {spec!r}")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -214,27 +224,31 @@ def run_simulate(cfg):
 # analytics functions are looked up at call time.  Engine 1: closed-form H
 # (cov2, acvf2, acvf2band); acvf1 with its far-lag plateau cancelled exactly.
 # Engine 2: far-lag second differences of acvf1 and acvf2 by one stencil
-# rule, and the band calibrated on those acvf2 values.
+# rule, and the band calibrated on those acvf2 values.  One more for every
+# curve that takes G (cov1, cov2, acvf1, acvf2, acvf2band): G by one positive
+# integral instead of two small-argument series and the closed form.
 _CURVES = {
-    "cov1": (0, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
+    "cov1": (1, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp1(p, t, t, el2)]),
-    "cov2": (1, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
+    "cov2": (2, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp2(p, t, t, el2)]),
-    "acvf1": (2, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf1": (3, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln1(p, h, el2)]),
-    "acvf2": (2, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf2": (3, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln2(p, h, el2)]),
     "spec1": (0, "0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
               lambda p, w, el2: [el2 * analytics.spec_density_tfln1(p, w)]),
     "spec2": (0, "0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
               lambda p, w, el2: [el2 * analytics.spec_density_tfln2(p, w)]),
-    "acvf2band": (2, "1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
+    "acvf2band": (3, "1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
                   lambda p, h, el2: [el2 * b for b in
                                      analytics.acvf_tfln2_asymptotic_band(p, h)]),
 }
 
 
 def run_analytic(cfg):
+    if cfg["el2"] < 0:
+        raise ParameterError(f"analytic: --el2 must be >= 0, got {cfg['el2']!r}")
     params = TemperedParams(cfg["d"], cfg["lam"])
     if cfg["curve"] == "varlimit":
         write_csv(cfg["out"], ["var_limit"], ["value^2"],
@@ -325,6 +339,9 @@ def _verify_isometry(cfg, table):
         raise ParameterError(f"verify isometry: --n-draws must be at least 2, got {n}")
     driver = spec_from_config(cfg)
     el2 = second_moment(driver)
+    if el2 == 0.0:
+        raise ParameterError("verify isometry: the driver has E[L(1)^2] = 0, "
+                             "so the isometry has nothing to compare")
     cases = [("TFLP2", 0.3), ("TFLP2", -0.3), ("TFLP1", -0.3), ("TFLP1", 0.3)]
     f = ElementaryFunction.indicator(1.0)
     for target, d in cases:
@@ -443,6 +460,8 @@ def _dispatch(command, cfg, engine=None):
         if not _parses_to(key, cfg[key]):
             raise ParameterError(f"{command}: {key} must be a "
                                  f"{_FIELDS[key][0].__name__}, got {cfg[key]!r}")
+        if isinstance(cfg[key], float) and not np.isfinite(cfg[key]):
+            raise ParameterError(f"{command}: {key} must be finite, got {cfg[key]!r}")
     if cfg[positional] not in allowed:
         raise ParameterError(f"unknown {positional} {cfg[positional]!r}")
     missing = [_flag(k) for k in required if cfg[k] is None]

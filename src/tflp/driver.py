@@ -75,8 +75,8 @@ class UniformSymmetric(JumpLaw):
     a: float
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("UniformSymmetric: requires a > 0")
+        if not 0.0 < self.a < np.inf:
+            raise ValueError("UniformSymmetric: requires a finite a > 0")
 
     def second_moment(self):
         return self.a ** 2 / 3.0
@@ -95,8 +95,8 @@ class GaussianJumps(JumpLaw):
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("GaussianJumps: requires sigma > 0")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError("GaussianJumps: requires a finite sigma > 0")
 
     def second_moment(self):
         return self.sigma ** 2
@@ -116,8 +116,8 @@ class TwoPoint(JumpLaw):
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("TwoPoint: requires c > 0")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError("TwoPoint: requires a finite c > 0")
 
     def second_moment(self):
         return self.c ** 2
@@ -143,8 +143,8 @@ class CompoundPoisson(LevyDriverSpec):
     jump_law: JumpLaw
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise ValueError("CompoundPoisson: requires intensity >= 0")
+        if not 0.0 <= self.intensity < np.inf:
+            raise ValueError("CompoundPoisson: requires a finite intensity >= 0")
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,10 @@ class TemperedStable(LevyDriverSpec):
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("TemperedStable: requires 0 < alpha < 2")
-        if self.lambda_noise <= 0:
-            raise ValueError("TemperedStable: requires lambda_noise > 0")
-        if self.scale <= 0:
-            raise ValueError("TemperedStable: requires scale > 0")
+        if not 0.0 < self.lambda_noise < np.inf:
+            raise ValueError("TemperedStable: requires a finite lambda_noise > 0")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError("TemperedStable: requires a finite scale > 0")
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,8 @@ class GaussianValidation(LevyDriverSpec):
     outside_condition_L = True
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("GaussianValidation: requires sigma > 0")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError("GaussianValidation: requires a finite sigma > 0")
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,10 @@ class TemperedParams:
     lam: float
 
     def __post_init__(self):
-        if not self.d > -0.5:
-            raise ValueError("TemperedParams: requires d > -1/2")
-        if not self.lam > 0:
-            raise ValueError("TemperedParams: requires lambda > 0")
+        if not -0.5 < self.d < np.inf:
+            raise ValueError("TemperedParams: requires a finite d > -1/2")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError("TemperedParams: requires a finite lambda > 0")
 
 
 def _w(u, d, lam):
@@ -218,6 +218,8 @@ def _prepare(kind, params, grid, trunc_width, refine):
         raise ValueError("simulate: observation grid must start at t = 0")
     if refine < 1:
         raise ValueError("simulate: refine must be >= 1")
+    if trunc_width < 0:
+        raise ValueError("simulate: trunc_width must be >= 0 (0 picks it from the tempering)")
     R = trunc_width if trunc_width > 0 else truncation_width(params)
     dt = grid.dx / refine
     n_hist = int(np.ceil(R / dt))

@@ -11,13 +11,15 @@ slow quadrature form of K_nu is kept in the test suite as an independent
 oracle.
 """
 
+import math
+
 import numpy as np
 from scipy import special as _sp
 
 from .errors import ParameterError
 
-__all__ = ["gamma_fn", "lower_gamma", "upper_gamma", "bessel_k", "bessel_k_scaled",
-           "struve_l"]
+__all__ = ["gamma_fn", "lower_gamma", "lower_gamma_at_log", "upper_gamma",
+           "bessel_k", "bessel_k_scaled", "struve_l"]
 
 # Gamma overflows in double precision slightly above this argument.
 _GAMMA_OVERFLOW = 171.62
@@ -40,6 +42,16 @@ def gamma_fn(x):
 def lower_gamma(s, x):
     """Lower incomplete gamma, s > 0, x >= 0."""
     return _sp.gamma(s) * _sp.gammainc(s, x)
+
+
+def lower_gamma_at_log(s, log_x):
+    """lower_gamma(s, e^{log_x}) for a scalar s > 0, also where e^{log_x}
+    underflows: below log_x = -40 it is x^s/s, the first term of
+    x^s e^{-x} M(1, 1+s, x)/s (DLMF 8.5.1), whose factor e^{-x} M is then 1
+    to rounding."""
+    if log_x < -40.0:
+        return math.exp(s * log_x) / s
+    return float(lower_gamma(s, math.exp(log_x)))
 
 
 def upper_gamma(s, x):

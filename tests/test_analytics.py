@@ -11,7 +11,7 @@ from scipy.special import kv
 
 import tflp
 from tflp.processes import TemperedParams
-from tflp.errors import ParameterError
+from tflp.errors import ParameterError, ToleranceError
 from tflp.special import gamma_fn
 from tflp.analytics import (
     acvf_tfln1, acvf_tfln1_asymptotic, acvf_tfln2, acvf_tfln2_asymptotic_band,
@@ -113,13 +113,48 @@ def test_variance_scale_consistency():
             assert abs(lhs / rhs - 1.0) < 1e-12
 
 
-def test_cov_tflp1_series_direct_branch_continuity():
-    # the small-argument series and the Bessel branch must join smoothly
+def _ct_squared_mpmath(d, lam, t):
+    """C^2_{d,lam,t} = G(t)/t^{1+2d} from the closed form of G in the module
+    docstring, with digits to spare over the ~2 log10(1/(lam t)) that its
+    two terms cancel."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + max(0, int(-2.0 * (np.log10(lam) + np.log10(t))))):
+        D, L, T = mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(t)
+        nu = D + 0.5
+        A = 2 * mpmath.gamma(1 + 2 * D) / (2 * L) ** (1 + 2 * D)
+        B = 2 * mpmath.gamma(1 + D) / mpmath.sqrt(mpmath.pi) * (2 * L) ** -nu
+        return float((A - B * T ** nu * mpmath.besselk(nu, L * T)) / T ** (1 + 2 * D))
+
+
+@pytest.mark.parametrize("d", [-0.499, 0.5 - 1e-7, 0.5 + 1e-7, 1.5 - 1e-6,
+                               1.5 + 1e-6, 2.5 + 1e-9, 5.0])
+def test_ct_squared_relative_to_mpmath(d):
+    # nu = d + 1/2 near an integer, where series forms of K_nu are singular,
+    # and lam t from where the two terms of G cancel to where K_nu underflows
+    for lam in (0.3, 2.0):
+        p = TemperedParams(d, lam)
+        for z in 10.0 ** np.arange(-12.0, 3.25, 0.5):
+            ref = _ct_squared_mpmath(d, lam, z / lam)
+            assert abs(ct_squared(p, z / lam) / ref - 1.0) < 1e-13, (lam, z)
+
+
+def test_ct_squared_where_lam_t_underflows():
+    # log q is a sum of logs, so G holds where lam t is below the smallest
+    # double; where G/A would fall below 1e-290 the terms of its integral
+    # underflow, and that raises instead of returning what is left of them
+    p = TemperedParams(-0.45, 1e-165)
+    ref = _ct_squared_mpmath(p.d, p.lam, 1e-165)
+    assert abs(ct_squared(p, 1e-165) / ref - 1.0) < 1e-13
+    with pytest.raises(ToleranceError):
+        cov_tflp1(TemperedParams(0.2, 1e-200), 1e-100, 1e-100)
+
+
+def test_cov_tflp1_smooth_where_the_integral_panels_shift():
+    # the first panel of G's integral moves by a whole panel at lam t = 0.49
+    # here; a seam would show up as a spike in the second differences
     p = TemperedParams(0.2, 1.0)
     ts = np.linspace(0.45, 0.55, 21)
     vals = np.array([cov_tflp1(p, t, t) for t in ts])
-    # second differences reflect the smooth curvature only; a seam would
-    # show up as a spike against the neighbouring values
     d2 = np.abs(np.diff(vals, 2))
     assert d2.max() < 1.5 * np.median(d2)
 
@@ -169,13 +204,10 @@ def test_acvf_tfln1_against_kernel_quadrature():
 @pytest.mark.parametrize("d, tol", [
     (0.5, 1e-12), (1.5, 1e-12), (2.5, 1e-12),
     (0.5 - 1e-3, 1e-11), (0.5 + 1e-3, 1e-11),
-    # the reflection series divides by sin(pi nu) ~ 3e-7 here, and the
-    # acvf's second difference of G amplifies the rounding further
-    (0.5 - 1e-7, 1e-7), (0.5 + 1e-7, 1e-7),
+    (0.5 - 1e-7, 1e-12), (0.5 + 1e-7, 1e-12),
 ])
 def test_half_integer_d_against_kernel_quadrature(d, tol):
-    # nu = d + 1/2 an integer: the reflection series of K_nu divides by
-    # sin(pi nu) = 0, so G takes the integer-order series (DLMF 10.31.1)
+    # nu = d + 1/2 at or near an integer, where series of K_nu change form
     for lam in (0.2, 1.0):
         p = TemperedParams(d, lam)
         for t in (0.1, 0.3, 0.5 / lam, 2.0 / lam):

@@ -176,27 +176,32 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
     simulate = ["simulate", "tflp1", "--d", "0.3", "--lambda", "0.5", "--tmax", "4",
                 "--n", "8", "--driver", "tstable", "--lambda-noise", "1"]
     for argv, engine in (
+            # every curve that takes G takes it by one positive integral
+            # (one more below)
+            (["analytic", "cov1", "--d", "0.3", "--lambda", "0.5",
+              "--range", "0.25:2:0.25"], 1),
             # cov2 has a new numerical route (engine 1): the closed-form covariance
             (["analytic", "cov2", "--d", "0.3", "--lambda", "0.5",
-              "--range", "0.25:2:0.25"], 1),
+              "--range", "0.25:2:0.25"], 2),
             # cov2 with d < 0 raised before, so it has no older bytes
             (["analytic", "cov2", "--d", "-0.3", "--lambda", "0.5",
-              "--range", "0.25:2:0.25"], 1),
+              "--range", "0.25:2:0.25"], 2),
             # acvf2 takes its far lags by the stencil rule (engine 2), and
             # with d < 0 it left a cut spectral inversion for the closed
-            # form (one more); the band is calibrated on its far lags
+            # form (one more); the band is calibrated on its far lags, and
+            # on its near lags when lam >= 2
             (["analytic", "acvf2", "--d", "0.3", "--lambda", "1",
-              "--range", "0:8:2"], 2),
-            (["analytic", "acvf2", "--d", "-0.3", "--lambda", "1",
               "--range", "0:8:2"], 3),
+            (["analytic", "acvf2", "--d", "-0.3", "--lambda", "1",
+              "--range", "0:8:2"], 4),
             (["analytic", "acvf2band", "--d", "0.3", "--lambda", "1",
-              "--range", "5:8:1"], 2),
-            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
               "--range", "5:8:1"], 3),
+            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
+              "--range", "5:8:1"], 4),
             # acvf1 drops the plateau from its far-lag differences (engine 1)
             # and takes them by the stencil rule (engine 2)
             (["analytic", "acvf1", "--d", "0.2", "--lambda", "1",
-              "--range", "0:60:10"], 2),
+              "--range", "0:60:10"], 3),
             # every simulate run convolves only the lags it reads (engine 1),
             # with the kernel cut below rounding and its far-lag constant
             # added through the cumulative increments (engine 2), and direct
@@ -243,8 +248,8 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
 def test_unchanged_curve_manifest_has_no_engine_key(tmp_path):
     out = tmp_path / "a.csv"
     manifest = tmp_path / "a.csv.manifest.json"
-    for argv in (["analytic", "cov1", "--d", "0.3", "--lambda", "0.5",
-                  "--range", "0.25:2:0.25"],
+    for argv in (["analytic", "spec1", "--d", "0.3", "--lambda", "0.5",
+                  "--range", "0:3:0.25"],
                  # verify is engine 0 unless its driver splits cells or a
                  # suite that draws takes compound-Poisson jumps
                  ["verify", "calculus"],
@@ -453,6 +458,14 @@ def test_sub_step_budget_bounds_time_on_short_grids(tmp_path, capsys):
       for L in (0, 1, 2)),
     ("estimate acvf --input {tmp}/in.csv --max-lag -1 --out {tmp}/x.csv",
      {"in.csv": "t,x\ntime,value\n0,1\n1,2\n2,0\n"}, 2),
+    # non-finite range parts, a negative EL2 and a negative truncation width
+    ("analytic cov1 --d 0.3 --lambda 1 --range 0:inf:1 --out {tmp}/x.csv", {}, 2),
+    ("analytic cov1 --d 0.3 --lambda 1 --el2 -1 --out {tmp}/x.csv", {}, 2),
+    ("simulate tflp1 --d 0.3 --lambda 1 --tmax 1 --n 8 --trunc-width -1 "
+     "--out {tmp}/x.csv", {}, 2),
+    # a zero-variance driver leaves the isometry nothing to compare
+    ("verify isometry --intensity 0 --out {tmp}/x.csv", {}, 2),
+    ("verify all --intensity 0 --out {tmp}/x.csv", {}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, code):
     for name, text in files.items():
@@ -461,6 +474,52 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, cod
     err = capsys.readouterr().err
     assert err.startswith({2: "parameter error: ", 3: "tolerance error: "}[code])
     assert "Traceback" not in err
+
+
+def test_read_csv_reports_bad_rows_by_line(tmp_path):
+    # a nan went through the estimators into a nan table with exit 0, and a
+    # ragged row stopped in numpy without a line number
+    for row, message in (("1,nan", ":4: non-finite value"), ("1,2,3", ":4: 3 columns"),
+                         ("1,inf", ":4: non-finite value")):
+        path = tmp_path / "in.csv"
+        path.write_text(f"t,x\ntime,value\n0,1\n{row}\n2,3\n")
+        with pytest.raises(errors.ParameterError, match=message):
+            read_csv(path)
+        out = tmp_path / "x.csv"
+        assert run(["estimate", "acvf", "--input", path, "--out", out]) == 2
+        assert not out.exists()
+
+
+# one command line per command, to which each float flag is appended
+_FINITE_BASE = {
+    "simulate": ["simulate", "tflp1", "--d", "0.3", "--lambda", "1", "--tmax", "1",
+                 "--n", "8"],
+    "analytic": ["analytic", "cov1", "--d", "0.3", "--lambda", "1"],
+    "verify": ["verify", "isometry", "--n-draws", "200"],
+}
+
+
+def test_non_finite_float_values_exit_2(tmp_path, capsys):
+    # every float key of the config table, from a flag and from a manifest:
+    # a nan or inf ran on to nan output, a silent default or exit 3
+    out = tmp_path / "x.csv"
+    floats = [k for k, (typ, _) in cli._FIELDS.items() if typ is float]
+    assert {"d", "lam", "el2", "trunc_width", "intensity", "sigma"} <= set(floats)
+    for key in floats:
+        command = next(c for c, spec in cli._COMMANDS.items() if key in spec[2])
+        for bad in ("nan", "inf", "-inf"):
+            argv = [*_FINITE_BASE[command], f"{cli._flag(key)}={bad}", "--out", out]
+            assert run(argv) == 2, (key, bad)
+            assert "must be finite" in capsys.readouterr().err
+            assert not out.exists()
+    assert run([*_FINITE_BASE["analytic"], "--out", out]) == 0
+    manifest = tmp_path / "x.csv.manifest.json"
+    payload = json.loads(manifest.read_text())
+    out.unlink()
+    manifest.write_text(json.dumps({**payload, "config": {**payload["config"],
+                                                          "el2": float("nan")}}))
+    assert run(["rerun", manifest]) == 2
+    assert not out.exists()
 
 
 def test_verify_suites_pass(tmp_path, capsys):

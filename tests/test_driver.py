@@ -38,6 +38,18 @@ def test_jump_law_parameter_validation():
         CompoundPoisson(intensity=-1.0, jump_law=TwoPoint(c=1.0))
     with pytest.raises(ValueError):
         TemperedStable(alpha=2.0, lambda_noise=1.0)
+    # nan fails no comparison of the form x <= 0, so each bound is written
+    # to fail it, and inf is rejected too
+    for bad in (np.nan, np.inf, -np.inf):
+        for make in (lambda x: UniformSymmetric(a=x), lambda x: GaussianJumps(sigma=x),
+                     lambda x: TwoPoint(c=x),
+                     lambda x: CompoundPoisson(intensity=x, jump_law=TwoPoint(c=1.0)),
+                     lambda x: TemperedStable(alpha=x, lambda_noise=1.0),
+                     lambda x: TemperedStable(alpha=1.0, lambda_noise=x),
+                     lambda x: TemperedStable(alpha=1.0, lambda_noise=1.0, scale=x),
+                     lambda x: GaussianValidation(sigma=x)):
+            with pytest.raises(ValueError):
+                make(bad)
 
 
 def test_second_moment_matches_char_exponent_curvature():

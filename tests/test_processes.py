@@ -53,6 +53,11 @@ def test_params_domain():
         TemperedParams(-0.5, 1.0)
     with pytest.raises(ValueError):
         TemperedParams(0.3, 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            TemperedParams(bad, 1.0)
+        with pytest.raises(ValueError):
+            TemperedParams(0.3, bad)
 
 
 def test_kernel_g1_piecewise_values():
