@@ -33,15 +33,16 @@ analytic in d, so this one form holds on the whole type II domain
 d > -1/2, d != 0 (K changes sign with Gamma(d)); at d = 0, where
 S^II = L, the type II functions raise ParameterError.
 
-Far lags.  Both noise autocovariances are second differences,
+Noise autocovariances.  Both are second differences,
 f(h+1) - 2 f(h) + f(h-1) = int_{-1}^{1} (1-|r|) f''(h+r) dr, of a
-function whose values there nearly cancel: f(t) = t^nu K_nu(lam t) for
-type I (its f'' by DLMF 10.29.4), and K H for type II, whose f'' is the
-kernel x^mu K_mu(lam x) itself.  Past the switch points of acvf_tfln1 and
-_acvf_tfln2_bessel the right-hand side is taken by one fixed
+function whose values there nearly cancel: f = G for type I, with
+f''(t) = -B (lam^2 t^nu K_{nu-2}(lam t) - lam t^{nu-1} K_{nu-1}(lam t))
+(DLMF 10.29.4), and K H for type II, whose f'' is the kernel
+x^mu K_mu(lam x) itself.  Every lag with lam (|h|-1) > 0, whose stencil
+support stays clear of the branch point of f'' at 0, takes one
 Gauss-Legendre stencil rule, _far_second_difference, with the decay
 e^{-lam t} factored out, so no digits cancel and nothing overflows at
-large lam.
+large lam; only lags |h| <= 1 difference f itself (_second_difference).
 
 Spectral densities are returned exactly as displayed, normalized to
 E[L(1)^2] = 1:
@@ -143,11 +144,13 @@ def _big_g(d: float, lam: float, t: float) -> float:
 
 
 def ct_squared(params: TemperedParams, t: float) -> float:
-    """Squared scale factor C^2_{d,lam,|t|} of the type I variance; 0 at t=0."""
+    """Squared scale factor C^2_{d,lam,|t|} of the type I variance; 0 at t=0.
+    G is divided by t^{1/2+d} twice, as t^{1+2d} itself may underflow."""
     t = abs(float(t))
     if t == 0.0:
         return 0.0
-    return _big_g(params.d, params.lam, t) / t ** (1.0 + 2.0 * params.d)
+    root = t ** (0.5 + params.d)
+    return _big_g(params.d, params.lam, t) / root / root
 
 
 def cov_tflp1(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> float:
@@ -214,7 +217,7 @@ def _stencil_nodes(lam: float, graded: float, stop: float):
 
 def _far_second_difference(lam: float, h: float, d: float, g) -> float:
     """lam^2 int_{-1}^{1} (1-|r|) F(lam (h+r)) dr for F(z) = e^{-z} g(z) with
-    its branch point at z = 0, h > 1: the second difference
+    its branch point at z = 0, lam (h-1) > 0: the second difference
     f(h+1) - 2 f(h) + f(h-1) of an f with f''(t) = lam^2 F(lam t).
 
     In s = lam (1+r), so that z = lam (h-1) + s carries no cancellation
@@ -224,36 +227,40 @@ def _far_second_difference(lam: float, h: float, d: float, g) -> float:
     (graded towards it when lam (h-1) < 8; lags beyond share one cached
     layout).  e^{-lam(h-1)} e^{-s} is factored out, so no exponential
     exceeds 1.  Past stop = 40 + 4 max(d, 0) the integrand, about
-    s z^d e^{-s}, is below rounding, so a lag takes at most
-    30 + 2 max(d, 0) panels whatever lam is (240 nodes for d <= 0)."""
+    s z^d e^{-s}, is below rounding.  So a lag takes 30 + 2 max(d, 0)
+    panels at most, plus about 10 per decade of min(8, 2 lam)/(lam (h-1));
+    as lam (h-1) >= lam 2^{-52}, at most 170 panels (searched over lam from
+    1e-3 to 1e8; at lam = 0.3, 1024 nodes at h = 1 + 1e-12, 72 at 1.37)."""
     z0 = lam * (h - 1.0)
     stop = min(2.0 * lam, 40.0 + 4.0 * max(d, 0.0))
     s, weights = _stencil_nodes(lam, min(z0, 8.0), stop)
     return math.exp(-z0) * float(np.dot(weights, g(z0 + s)))
 
 
+def _second_difference(lam: float, h: float, d: float, f, c: float, g) -> float:
+    """f(|h|+1) - 2 f(|h|) + f(|h|-1) of a noise acvf (module docstring),
+    with f'' = c lam^2 e^{-z} g(z), z = lam t: by the stencil rule wherever
+    lam (|h|-1) > 0, by differencing f for |h| <= 1 and where lam (|h|-1)
+    is as good as 0, below 1e-150, where g, about z^{-2}, nears overflow."""
+    h = abs(float(h))
+    if lam * (h - 1.0) > 1e-150:
+        return c * _far_second_difference(lam, h, d, g)
+    return f(h + 1.0) - 2.0 * f(h) + f(h - 1.0)
+
+
 def acvf_tfln1(params: TemperedParams, h: float, EL2: float = 1.0) -> float:
-    """Autocovariance of the unit-lag type I noise, exact via G differences.
-    At far lags, lam (|h| - 1) > 1/2, all three G = A - B f with
-    f(t) = t^nu K_nu(lam t), so the plateau A drops out, and the second
-    difference of f is taken by the stencil rule of _far_second_difference
-    with f''(t) = lam^2 t^nu K_{nu-2}(lam t) - lam t^{nu-1} K_{nu-1}(lam t)
-    (DLMF 10.29.4) instead of differencing f, which loses digits when lam
-    is small."""
+    """Autocovariance of the unit-lag type I noise: the second difference
+    of G / (2 Gamma(1+d)^2)."""
     d, lam = params.d, params.lam
     g = gamma_fn(1.0 + d)
-    h = float(h)
-    if lam * (abs(h) - 1.0) > 0.5:
-        nu = d + 0.5
-        # f(t) = lam^{-nu} z^nu K_nu(z), z = lam t, so f''(t) = lam^{2-nu}
-        # e^{-z} g(z); with B / (2 Gamma(1+d)^2), B = 2 Gamma(1+d) (2 lam)^{-nu}
-        # / sqrt(pi), the factor is 2^{-nu} lam^{-2 nu} / (sqrt(pi) Gamma(1+d))
-        g2 = lambda z: z ** (nu - 1.0) * (
-            z * bessel_k_scaled(nu - 2.0, z) - bessel_k_scaled(nu - 1.0, z))
-        return -EL2 * 2.0 ** -nu * lam ** (-2.0 * nu) / (_SQRT_PI * g) \
-            * _far_second_difference(lam, abs(h), d, g2)
-    return EL2 / (2.0 * g * g) * (
-        _big_g(d, lam, h + 1.0) - 2.0 * _big_g(d, lam, h) + _big_g(d, lam, h - 1.0))
+    nu = d + 0.5
+    # G = A - B lam^{-nu} z^nu K_nu(z), z = lam t, so G''(t) = -B lam^{2-nu}
+    # e^{-z} g2(z) (DLMF 10.29.4), B = 2 Gamma(1+d) (2 lam)^{-nu} / sqrt(pi)
+    c = -2.0 * g * 2.0 ** -nu * lam ** (-2.0 * nu) / _SQRT_PI
+    g2 = lambda z: z ** (nu - 1.0) * (
+        z * bessel_k_scaled(nu - 2.0, z) - bessel_k_scaled(nu - 1.0, z))
+    return EL2 / (2.0 * g * g) * _second_difference(
+        lam, h, d, lambda t: _big_g(d, lam, t), c, g2)
 
 
 def acvf_tfln1_asymptotic(params: TemperedParams, h: float, EL2: float = 1.0) -> float:
@@ -301,21 +308,13 @@ def spec_density_tfln2(params: TemperedParams, omega) -> float:
 
 
 def _acvf_tfln2_bessel(params: TemperedParams, h: float) -> float:
-    """K [H(h+1) - 2 H(h) + H(|h-1|)], or for lam (h-1) > 3 or h > 21, where
-    that loses more than 1e-10 to rounding, the same second difference as
-    K int_{-1}^{1} (1-|r|) x^mu K_mu(lam x) dr, x = h + r, by the stencil
-    rule of _far_second_difference."""
     d, lam = params.d, params.lam
-    h = abs(float(h))
-    if h - 1.0 <= min(3.0 / lam, 20.0):
-        return _big_h(d, lam, h + 1.0) - 2.0 * _big_h(d, lam, h) \
-            + _big_h(d, lam, h - 1.0)
     mu = d - 0.5
-    # K x^mu K_mu(lam x) = K lam^{-mu} z^mu K_mu(z), z = lam x, and the rule
-    # carries lam^2: c = K lam^{-mu-2}, K = 1/(sqrt(pi) Gamma(d) (2 lam)^mu)
+    # (K H)'' = K x^mu K_mu(lam x) = K lam^{-mu} z^mu K_mu(z), z = lam x:
+    # c = K lam^{-mu-2}, K = 1/(sqrt(pi) Gamma(d) (2 lam)^mu)
     c = 2.0 ** -mu * lam ** (-1.0 - 2.0 * d) / (_SQRT_PI * gamma_fn(d))
-    return c * _far_second_difference(
-        lam, h, d, lambda z: z ** mu * bessel_k_scaled(mu, z))
+    return _second_difference(lam, h, d, lambda x: _big_h(d, lam, x), c,
+                              lambda z: z ** mu * bessel_k_scaled(mu, z))
 
 
 def _acvf_tfln2_fourier(params: TemperedParams, h: float) -> float:
@@ -338,8 +337,8 @@ def _acvf_tfln2_fourier(params: TemperedParams, h: float) -> float:
 def acvf_tfln2(params: TemperedParams, h: float, EL2: float = 1.0,
                method: str = "bessel") -> float:
     """Exact autocovariance of the unit-lag type II noise, d > -1/2, d != 0:
-    K [H(h+1) - 2 H(h) + H(|h-1|)], H as in cov_tflp2, or the kernel integral
-    by the far-lag stencil rule where that difference cancels.  method
+    K [H(h+1) - 2 H(h) + H(|h-1|)], H as in cov_tflp2, taken past lag 1 as
+    the kernel integral by the stencil rule (module docstring).  method
     'fourier' inverts the spectral display instead, the independent
     reference route."""
     if params.d == 0.0:

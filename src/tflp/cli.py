@@ -8,8 +8,9 @@ rerun (re-execute a saved manifest).
 Each choice is written once, in a table: _COMMANDS (positional, its
 values, config keys, required keys, runner per command), _FIELDS (type
 and default per key), _CURVES (engine, default range, columns and row
-values per analytic curve) and _SUITES (verify batteries).  build_parser reads
-them, and _dispatch checks fresh runs and reruns against them.
+values per analytic curve), _TASKS (estimate outputs) and _SUITES (verify
+batteries).  build_parser reads them, and _dispatch checks fresh runs and
+reruns against them.
 
 Reproducibility contract: every run writes a JSON manifest with the
 fully resolved configuration next to its output; `tflp rerun
@@ -105,20 +106,11 @@ def _engine(command, config):
     """Version of the numerical route behind a run's bytes; manifests record
     it only when it is not 0, so those of unchanged routes keep their bytes.
     analytic: per curve, as in _CURVES, 1 more for acvf2 and acvf2band with
-    d < 0 (closed form, no cut spectral inversion).  Otherwise three steps:
-    3 for every simulate run (1: the convolution reads only the lags it
-    needs; 2: the kernel is cut where it falls below rounding, its far-lag
-    constant enters through a cumulative sum, and long windows are convolved
-    in overlap-save blocks; 3: direct sums run over windows of the
-    increments also when nothing is cut, which only the kernel built from
-    the config would tell apart), 1 more for simulate runs of type II (the
-    far-lag constant enters through the cumulative sum also when nothing is
-    cut), 1 for simulate and verify runs whose tempered-stable driver has
-    alpha < 1 (cells split into sub-increments), and 1 for simulate runs and
-    verify runs that draw (isometry, all) whose driver draws compound-Poisson
-    jumps, cpois or tstable with alpha >= 1 (one total count, then the
-    cells).  So simulate is 3 for type I and 4 for type II with the gauss
-    driver, one more with any other; verify 0 or 1."""
+    d < 0.  simulate: 3, 1 more for type II.  simulate and verify: 1 more
+    for a tempered-stable driver with alpha < 1 (split cells); simulate and
+    the verify suites that draw (isometry, all): 1 more for a driver that
+    draws compound-Poisson jumps (cpois, or tstable with alpha >= 1).  The
+    README's engine table gives the route change behind each step."""
     if command == "analytic":
         return _CURVES.get(config["curve"], (0,))[0] + int(
             config["curve"] in ("acvf2", "acvf2band") and config["d"] < 0)
@@ -221,26 +213,22 @@ def run_simulate(cfg):
 # ---------------------------------------------------------------- analytic
 
 # curve -> (engine, default --range, column names, units, row values after x);
-# analytics functions are looked up at call time.  Engine 1: closed-form H
-# (cov2, acvf2, acvf2band); acvf1 with its far-lag plateau cancelled exactly.
-# Engine 2: far-lag second differences of acvf1 and acvf2 by one stencil
-# rule, and the band calibrated on those acvf2 values.  One more for every
-# curve that takes G (cov1, cov2, acvf1, acvf2, acvf2band): G by one positive
-# integral instead of two small-argument series and the closed form.
+# analytics functions are looked up at call time.  An engine is one more for
+# each route change behind the curve's bytes (the README's engine table).
 _CURVES = {
     "cov1": (1, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp1(p, t, t, el2)]),
     "cov2": (2, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp2(p, t, t, el2)]),
-    "acvf1": (3, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf1": (4, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln1(p, h, el2)]),
-    "acvf2": (3, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf2": (4, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln2(p, h, el2)]),
     "spec1": (0, "0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
               lambda p, w, el2: [el2 * analytics.spec_density_tfln1(p, w)]),
     "spec2": (0, "0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
               lambda p, w, el2: [el2 * analytics.spec_density_tfln2(p, w)]),
-    "acvf2band": (3, "1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
+    "acvf2band": (4, "1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
                   lambda p, h, el2: [el2 * b for b in
                                      analytics.acvf_tfln2_asymptotic_band(p, h)]),
 }
@@ -263,28 +251,25 @@ def run_analytic(cfg):
 
 # ---------------------------------------------------------------- estimate
 
+# task -> writer of its output from the config and the input's data rows
+_TASKS = {
+    "acvf": lambda cfg, data: write_csv(
+        cfg["out"], ["h", "gamma"], ["lag", "value^2"],
+        enumerate(analytics.empirical_acvf(data[:, 1], cfg["max_lag"]))),
+    "periodogram": lambda cfg, data: write_csv(
+        cfg["out"], ["omega", "power"], ["rad/step", "value^2*step"],
+        np.column_stack(analytics.periodogram(data[:, 1], cfg["segment_length"]))),
+    "fit-semilrd": lambda cfg, data: _write_json(
+        cfg["out"], vars(analytics.fit_semi_lrd(data[:, :2]))),
+    # input: wide ensemble CSV (t, path0, path1, ...)
+    "holder": lambda cfg, data: _write_json(cfg["out"], analytics.structure_exponent(
+        data[:, 1:].T, float(data[1, 0] - data[0, 0]),
+        [int(v) for v in cfg["taus"].split(",")])),
+}
+
+
 def run_estimate(cfg):
-    task = cfg["task"]
-    names, data = read_csv(cfg["input"])
-    if task == "acvf":
-        ac = analytics.empirical_acvf(data[:, 1], cfg["max_lag"])
-        write_csv(cfg["out"], ["h", "gamma"], ["lag", "value^2"], enumerate(ac))
-    elif task == "periodogram":
-        om, pw = analytics.periodogram(data[:, 1], cfg["segment_length"])
-        write_csv(cfg["out"], ["omega", "power"], ["rad/step", "value^2*step"],
-                  np.column_stack([om, pw]))
-    elif task == "fit-semilrd":
-        fit = analytics.fit_semi_lrd(data[:, :2])
-        _write_json(cfg["out"], {
-            "lambda_hat": fit.lambda_hat, "delta_hat": fit.delta_hat,
-            "c_hat": fit.c_hat, "fit_range": list(fit.fit_range),
-            "residual_rms": fit.residual_rms,
-        })
-    else:  # holder; input: wide ensemble CSV (t, path0, path1, ...)
-        dx = float(data[1, 0] - data[0, 0])
-        taus = [int(v) for v in cfg["taus"].split(",")]
-        _write_json(cfg["out"],
-                    analytics.structure_exponent(data[:, 1:].T, dx, taus))
+    _TASKS[cfg["task"]](cfg, read_csv(cfg["input"])[1])
     write_manifest(cfg["out"], "estimate", cfg)
 
 
@@ -333,15 +318,23 @@ def _verify_covariance(cfg, table):
            oracle, 1e-5 * oracle)
 
 
-def _verify_isometry(cfg, table):
-    n = cfg["n_draws"]
-    if n < 2:
-        raise ParameterError(f"verify isometry: --n-draws must be at least 2, got {n}")
+def _isometry_driver(cfg):
+    """The driver of the isometry suite and its E[L(1)^2], once its inputs
+    are checked; run_verify checks them before any suite runs."""
+    if cfg["n_draws"] < 2:
+        raise ParameterError("verify isometry: --n-draws must be at least 2, "
+                             f"got {cfg['n_draws']}")
     driver = spec_from_config(cfg)
     el2 = second_moment(driver)
     if el2 == 0.0:
         raise ParameterError("verify isometry: the driver has E[L(1)^2] = 0, "
                              "so the isometry has nothing to compare")
+    return driver, el2
+
+
+def _verify_isometry(cfg, table):
+    n = cfg["n_draws"]
+    driver, el2 = _isometry_driver(cfg)
     cases = [("TFLP2", 0.3), ("TFLP2", -0.3), ("TFLP1", -0.3), ("TFLP1", 0.3)]
     f = ElementaryFunction.indicator(1.0)
     for target, d in cases:
@@ -379,7 +372,10 @@ _SUITES = {
 
 def run_verify(cfg):
     table = []
-    for name in _SUITES if cfg["suite"] == "all" else [cfg["suite"]]:
+    names = [*_SUITES] if cfg["suite"] == "all" else [cfg["suite"]]
+    if "isometry" in names:
+        _isometry_driver(cfg)
+    for name in names:
         _SUITES[name](cfg, table)
     width = max(len(r[0]) for r in table)
     all_ok = all(r[4] for r in table)
@@ -407,7 +403,7 @@ _COMMANDS = {
     "analytic": ("curve", (*_CURVES, "varlimit"),
                  ("d", "lam", "el2", "range", "out"), ("d", "lam", "out"),
                  run_analytic),
-    "estimate": ("task", ("acvf", "periodogram", "fit-semilrd", "holder"),
+    "estimate": ("task", tuple(_TASKS),
                  ("input", "max_lag", "segment_length", "taus", "out"),
                  ("input", "out"), run_estimate),
     "verify": ("suite", (*_SUITES, "all"),

@@ -145,6 +145,10 @@ def test_ct_squared_where_lam_t_underflows():
     p = TemperedParams(-0.45, 1e-165)
     ref = _ct_squared_mpmath(p.d, p.lam, 1e-165)
     assert abs(ct_squared(p, 1e-165) / ref - 1.0) < 1e-13
+    # t^{1+2d} = 1e-360 underflows, though C^2 = G/t^{1+2d} is about 1.9e223
+    p = TemperedParams(1.3, 1e-40)
+    ref = _ct_squared_mpmath(p.d, p.lam, 1e-100)
+    assert abs(ct_squared(p, 1e-100) / ref - 1.0) < 1e-13
     with pytest.raises(ToleranceError):
         cov_tflp1(TemperedParams(0.2, 1e-200), 1e-100, 1e-100)
 
@@ -239,7 +243,7 @@ def test_cov_tflp2_against_kernel_quadrature():
 
 
 def test_acvf_tfln2_against_kernel_quadrature_across_route_switch():
-    # closed form for lam (h-1) <= 3 and h <= 21, quadrature beyond
+    # the closed form for h <= 1, the stencil rule from h = 1.5 on
     for d in (0.05, 0.2, 0.5, 1.0, 2.2):
         for lam in (0.01, 0.3, 1.0, 3.0):
             p = TemperedParams(d, lam)
@@ -282,8 +286,8 @@ def _acvf1_mpmath(d, lam, h):
 
 @pytest.mark.parametrize("d", [-0.3, 0.2, 1.3])
 def test_acvf_tfln1_far_lags_relative_to_mpmath(d):
-    # far lags, lam (h - 1) > 1/2, where the plateau of G must cancel
-    # exactly: cancelled in rounding, d = 0.2, lam = 1 reads 0 from h = 39
+    # far lags, where the plateau of G must cancel exactly:
+    # cancelled in rounding, d = 0.2, lam = 1 reads 0 from h = 39
     # on; the tolerance is purely relative, with no floor that passes a zero
     for lam in (0.3, 1.0, 10.0):
         p = TemperedParams(d, lam)
@@ -300,10 +304,16 @@ def test_acvf_tfln1_far_lags_relative_to_mpmath(d):
     # about lam^2, so differencing them lost 6-7e-10 relative; the stencil
     # rule integrates f'' instead
     (1.3, 0.01, 200.0), (3.0, 0.01, 200.0),
-    # just past lam (h - 1) = 1/2 the branch point of f'' at t = 0 sits a
-    # quarter of the decay scale from the stencil's end; panels of width
-    # 2/lam that do not grade towards it are up to 3e-7 off
-    (-0.3, 1.0, 1.6), (1.3, 1.0, 1.6), (-0.3, 10.0, 1.06), (1.3, 10.0, 1.06)])
+    # the same at moderate lags, where differencing G was 1.4e-11 and
+    # 2.2e-12 off
+    (-0.45, 0.01, 50.0), (0.2, 0.01, 20.0),
+    # at lam (h-1) = 0.6 the branch point of f'' at t = 0 is near the
+    # stencil's end on the scale of its panels; panels of width 2/lam that
+    # do not grade towards it are up to 3e-7 off
+    (-0.3, 1.0, 1.6), (1.3, 1.0, 1.6), (-0.3, 10.0, 1.06), (1.3, 10.0, 1.06),
+    # just past lag 1 the grading runs down to within lam (h-1) of it
+    (-0.45, 0.3, 1.0 + 1e-12), (1.3, 0.3, 1.0 + 1e-12),
+    (-0.45, 0.3, 1.0 + 1e-6), (1.3, 0.3, 1.0 + 1e-6)])
 def test_acvf_tfln1_stencil_rule_relative_to_mpmath(d, lam, h):
     p = TemperedParams(d, lam)
     assert abs(acvf_tfln1(p, h) / _acvf1_mpmath(d, lam, h) - 1.0) < 1e-12
@@ -338,6 +348,31 @@ def test_acvf_tfln2_far_lag_relative_to_mpmath(d, lam):
     # lam = 30, where gamma2(2.5) is 1e-10 and 1e-23
     p = TemperedParams(d, lam)
     assert abs(acvf_tfln2(p, 2.5) / _acvf2_mpmath(d, lam, 2.5) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d, lam, h", [
+    # differencing K H here cancels about 4 digits, and was 5.0e-12 off
+    (1.3, 0.3, 6.0),
+    # just past lag 1 the grading runs down to within lam (h-1) of it
+    (-0.45, 0.3, 1.0 + 1e-12), (1.3, 0.3, 1.0 + 1e-12),
+    (-0.45, 0.3, 1.0 + 1e-6), (1.3, 0.3, 1.0 + 1e-6)])
+def test_acvf_tfln2_stencil_rule_relative_to_mpmath(d, lam, h):
+    p = TemperedParams(d, lam)
+    assert abs(acvf_tfln2(p, h) / _acvf2_mpmath(d, lam, h) - 1.0) < 1e-12
+
+
+def test_acvf_where_lam_times_lag_past_one_rounds_to_zero():
+    # lam (h-1) is 0 (h = 1.5) or one subnormal step (h = 2): the stencil
+    # rule's panels, graded towards a branch point that close, would never
+    # advance, so these lags difference G, and agree with the rule at the
+    # untempered limit lam = 1e-100
+    tiny, small = TemperedParams(-0.45, 5e-324), TemperedParams(-0.45, 1e-100)
+    for h in (1.5, 2.0):
+        assert abs(acvf_tfln1(tiny, h) / acvf_tfln1(small, h) - 1.0) < 1e-11
+    # where lam^{-1-2d} overflows, both raise at once
+    for acvf in (acvf_tfln1, acvf_tfln2):
+        with pytest.raises(ArithmeticError):
+            acvf(TemperedParams(0.2, 5e-324), 1.5)
 
 
 def test_acvf_tfln1_asymptotic_rejects_nonpositive_lags():

@@ -187,21 +187,22 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
             (["analytic", "cov2", "--d", "-0.3", "--lambda", "0.5",
               "--range", "0.25:2:0.25"], 2),
             # acvf2 takes its far lags by the stencil rule (engine 2), and
-            # with d < 0 it left a cut spectral inversion for the closed
-            # form (one more); the band is calibrated on its far lags, and
-            # on its near lags when lam >= 2
+            # every lag past 1 (engine 4); with d < 0 it left a cut spectral
+            # inversion for the closed form (one more); the band is
+            # calibrated on its lags past 1
             (["analytic", "acvf2", "--d", "0.3", "--lambda", "1",
-              "--range", "0:8:2"], 3),
-            (["analytic", "acvf2", "--d", "-0.3", "--lambda", "1",
               "--range", "0:8:2"], 4),
+            (["analytic", "acvf2", "--d", "-0.3", "--lambda", "1",
+              "--range", "0:8:2"], 5),
             (["analytic", "acvf2band", "--d", "0.3", "--lambda", "1",
-              "--range", "5:8:1"], 3),
-            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
               "--range", "5:8:1"], 4),
+            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
+              "--range", "5:8:1"], 5),
             # acvf1 drops the plateau from its far-lag differences (engine 1)
-            # and takes them by the stencil rule (engine 2)
+            # and takes them by the stencil rule (engine 2), then every lag
+            # past 1 (engine 4)
             (["analytic", "acvf1", "--d", "0.2", "--lambda", "1",
-              "--range", "0:60:10"], 3),
+              "--range", "0:60:10"], 4),
             # every simulate run convolves only the lags it reads (engine 1),
             # with the kernel cut below rounding and its far-lag constant
             # added through the cumulative increments (engine 2), and direct
@@ -540,6 +541,17 @@ def test_verify_with_fewer_than_two_draws_exits_2(tmp_path, capsys, argv):
     assert run(["verify", *argv, "--out", out]) == 2
     assert "--n-draws must be at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["all", "--intensity", "0"], ["all", "--n-draws", "1"],
+                                  ["isometry", "--intensity", "0"]])
+def test_verify_checks_isometry_inputs_before_any_suite(monkeypatch, capsys, argv):
+    def spy(cfg, table):
+        raise AssertionError("a suite ran before the inputs were checked")
+    for name in cli._SUITES:
+        monkeypatch.setitem(cli._SUITES, name, spy)
+    assert run(["verify", *argv]) == 2
+    assert "parameter error: verify isometry" in capsys.readouterr().err
 
 
 def test_verify_isometry_values_follow_the_draw_recipe():
