@@ -43,6 +43,9 @@ support stays clear of the branch point of f'' at 0, takes one
 Gauss-Legendre stencil rule, _far_second_difference, with the decay
 e^{-lam t} factored out, so no digits cancel and nothing overflows at
 large lam; only lags |h| <= 1 difference f itself (_second_difference).
+Below lam = 1e-130 the rule's weights, of order lam^2, leave double
+range, so there lags |h| > 2 raise ToleranceError.  So does H where S
+does not stay finite (K overflows against an underflowing L at small z).
 
 Spectral densities are returned exactly as displayed, normalized to
 E[L(1)^2] = 1:
@@ -171,7 +174,10 @@ def var_limit_tflp1(params: TemperedParams, EL2: float = 1.0) -> float:
 def _big_h(d: float, lam: float, x: float) -> float:
     """K H(x): K Phi0(x) = lam^{-2d} S(lam x)/2, K Phi1(x) = G(x)/(Gamma(d)
     Gamma(1+d)).  S is 1 to within 1e-17 from z = 40 + 2 mu on (and L_mu
-    would overflow further out), so it is taken as 1 there."""
+    would overflow further out), so it is taken as 1 there.  At small z
+    (below 1e-208 to 1e-154 for d in (-1/2, 1/2)) a K overflows against an
+    underflowing L; where that leaves S not finite, ToleranceError is
+    raised."""
     x = abs(float(x))
     if x == 0.0:
         return 0.0
@@ -180,6 +186,8 @@ def _big_h(d: float, lam: float, x: float) -> float:
     if z < 40.0 + 2.0 * mu:
         S = z * (bessel_k(mu, z) * struve_l(mu - 1.0, z)
                  + struve_l(mu, z) * bessel_k(mu - 1.0, z))
+    if not math.isfinite(S):
+        raise ToleranceError(f"H: S(z) at z = lam x = {z:g} is out of double range")
     return 0.5 * x * S / lam ** (2.0 * d) \
         - _big_g(d, lam, x) / (gamma_fn(d) * gamma_fn(1.0 + d))
 
@@ -237,12 +245,26 @@ def _far_second_difference(lam: float, h: float, d: float, g) -> float:
     return math.exp(-z0) * float(np.dot(weights, g(z0 + s)))
 
 
+# below this tempering rate the noise acvfs take only lags |h| <= 2
+_LAM_FLOOR = 1e-130
+
+
 def _second_difference(lam: float, h: float, d: float, f, c: float, g) -> float:
     """f(|h|+1) - 2 f(|h|) + f(|h|-1) of a noise acvf (module docstring),
     with f'' = c lam^2 e^{-z} g(z), z = lam t: by the stencil rule wherever
     lam (|h|-1) > 0, by differencing f for |h| <= 1 and where lam (|h|-1)
-    is as good as 0, below 1e-150, where g, about z^{-2}, nears overflow."""
+    is as good as 0, below 1e-150, where g, about z^{-2}, nears overflow.
+
+    From lam = _LAM_FLOOR on, every lag |h| > 1 takes the stencil rule, with
+    weights of order lam^2 >= 1e-260.  Below it, lags |h| <= 2 stay exact
+    (the rule's weights are normal wherever lam (|h|-1) > 1e-150, and
+    differencing f loses no more than a digit), but a lag |h| > 2 would
+    either difference f, losing about 2 log10 |h| digits, or take weights
+    that underflow, so it raises ToleranceError."""
     h = abs(float(h))
+    if lam < _LAM_FLOOR and h > 2.0:
+        raise ToleranceError(f"acvf: lag {h:g} at lambda = {lam:g}, below the floor "
+                             f"{_LAM_FLOOR:g}, is out of double range")
     if lam * (h - 1.0) > 1e-150:
         return c * _far_second_difference(lam, h, d, g)
     return f(h + 1.0) - 2.0 * f(h) + f(h - 1.0)

@@ -8,7 +8,14 @@ lambda^kappa f(y) + (kappa/Gamma(1-kappa)) int_0^inf (f(y) - f(y+u))
 u^{-kappa-1} e^{-lambda u} du.  Both are discretized by product
 integration: within every cell the power-law factor is integrated
 exactly against a linear interpolant of f, which keeps accuracy at the
-integrable kernel singularity.
+integrable kernel singularity.  The kernel's cell moments, int k and
+int theta k over [p dx, (p+1) dx] with theta = u/dx - p, come from
+special.cell_moments, a series in 1/p with nothing to cancel, from the
+cell series_start on (at most 12 cells for kappa < 3); the cells
+before are differences of incomplete gammas at their edges.  The
+Marchaud tail masses int_{p dx}^inf are suffix sums of the cell moments.
+Differencing incomplete gammas at every edge instead would lose about
+log10(1/(lam dx)) digits.
 
 Conventions (documented contracts):
   * the integral operators treat f as zero outside its grid;
@@ -27,12 +34,12 @@ is spectrally accurate, so the gap tracks the Marchaud error.
 """
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from scipy import special as _sp
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ToleranceError
-from .grids import GridFunction
-from .special import lower_gamma, upper_gamma
+from .grids import GridFunction, next_fast_len
+from .special import cell_moments, lower_gamma, series_start, upper_gamma
 
 __all__ = [
     "frac_integral_minus", "frac_integral_plus",
@@ -58,10 +65,11 @@ def _reversed(f):
 
 def _correlate(weights, values, n):
     """out_j = sum_p weights[p] * values[j+p], j = 0..n, read off the linear
-    convolution of weights with the reversed values; the FFT length and
-    product order are those of scipy.signal.fftconvolve(weights,
-    values[::-1]), and the two agree bit for bit."""
-    nfft = next_fast_len(len(weights) + len(values) - 1, real=True)
+    convolution of weights with the reversed values by numpy.fft.  The FFT
+    length (the 5-smooth next_fast_len) and product order are those of
+    scipy.signal.fftconvolve(weights, values[::-1]), whose pocketfft gives
+    the same bits."""
+    nfft = next_fast_len(len(weights) + len(values) - 1)
     conv = irfft(rfft(weights, nfft) * rfft(values[::-1], nfft), nfft)
     return conv[: n + 1][::-1]
 
@@ -73,22 +81,20 @@ def frac_integral_minus(f: GridFunction, kappa: float, lam: float) -> GridFuncti
     _check_width(f, lam)
     n = f.grid.n_cells
     dx = f.grid.dx
-    # kernel moments over cells [p dx, (p+1) dx]:
-    #   M0 = int k(u) du,  M1 = int u k(u) du,  k = u^{kappa-1} e^{-lam u}/Gamma(kappa)
-    edges = lam * dx * np.arange(n + 2)
-    P0 = _sp.gammainc(kappa, edges)
-    P1 = _sp.gammainc(kappa + 1.0, edges)
-    M0 = lam ** -kappa * np.diff(P0)                   # cells p = 0..n
-    M1 = lam ** -kappa * (kappa / lam) * np.diff(P1)
-    up = dx * np.arange(n + 2)
-    # hat-function weights: node p collects theta-part of cell p-1 and
-    # (1-theta)-part of cell p
-    left = (up[1:] * M0 - M1) / dx                     # (1-theta) part of cell p
-    right = (M1 - up[:-1] * M0) / dx                   # theta part of cell p
-    w = np.zeros(n + 1)
-    w[0] = left[0]
-    w[1:] = right[:-1]
-    w[1:] += left[1:n + 1]
+    # cells [p dx, (p+1) dx], p = 0..n, k = u^{kappa-1} e^{-lam u}/Gamma(kappa):
+    # M0 = int k(u) du and B = int theta k(u) du, theta = u/dx - p
+    P = min(series_start(kappa - 1.0), n + 1)
+    edges = lam * dx * np.arange(P + 1)
+    M0 = lam ** -kappa * np.diff(_sp.gammainc(kappa, edges))
+    M1 = lam ** -kappa * (kappa / lam) * np.diff(_sp.gammainc(kappa + 1.0, edges))
+    B = (M1 - dx * np.arange(P) * M0) / dx
+    scale = 1.0 / _sp.gamma(kappa)
+    M0 = np.concatenate((M0, scale * cell_moments(kappa - 1.0, lam, dx, P, n + 1)))
+    B = np.concatenate((B, scale * cell_moments(kappa - 1.0, lam, dx, P, n + 1, theta=1)))
+    # hat-function weights: node p collects the theta part of cell p-1 and
+    # the (1-theta) part of cell p
+    w = M0 - B
+    w[1:] += B[:-1]
     out = _correlate(w, f.values, n)
     return GridFunction(f.grid, out)
 
@@ -99,12 +105,22 @@ def frac_integral_plus(f: GridFunction, kappa: float, lam: float) -> GridFunctio
     return GridFunction(f.grid, g.values[::-1].copy())
 
 
-def _tail_masses(kappa, lam, x):
-    """lam^kappa Gamma(-kappa, x) and lam^(kappa-1) Gamma(1-kappa, x) from one
-    Gamma(1-kappa, x): the first by the recurrence, in the operations of
-    upper_gamma(-kappa, x), so both equal upper_gamma's values bit for bit."""
-    G = upper_gamma(1.0 - kappa, x)
-    return lam ** kappa * ((G - x ** -kappa * np.exp(-x)) / -kappa), lam ** (kappa - 1.0) * G
+def _marchaud_moments(kappa, lam, dx, n):
+    """Moments of u^{-kappa-1} e^{-lam u} over the cells p = 1..n, N0 = int
+    and B = int theta, theta = u/dx - p, and the tail masses T0 = int_{p dx}^inf
+    at the edges p = 1..n+1.  Cells from series_start(-kappa-1) on take
+    cell_moments; the ones before, differences of lam^kappa Gamma(-kappa, x)
+    and lam^(kappa-1) Gamma(1-kappa, x) at their edges.  T0 is the suffix sums
+    of N0 from the last edge's lam^kappa Gamma(-kappa, x)."""
+    P = min(series_start(-kappa - 1.0), n + 1)
+    x = lam * dx * np.append(np.arange(1, P + 1), n + 1)     # edges 1..P and n+1
+    T0 = lam ** kappa * upper_gamma(-kappa, x)
+    N0 = -np.diff(T0[:-1])
+    N1 = -lam ** (kappa - 1.0) * np.diff(upper_gamma(1.0 - kappa, x[:-1]))
+    B = (N1 - dx * np.arange(1, P) * N0) / dx
+    N0 = np.concatenate((N0, cell_moments(-kappa - 1.0, lam, dx, P, n + 1)))
+    B = np.concatenate((B, cell_moments(-kappa - 1.0, lam, dx, P, n + 1, theta=1)))
+    return N0, B, np.cumsum(np.append(T0[-1], N0[::-1]))[::-1]
 
 
 def frac_derivative_minus(f: GridFunction, kappa: float, lam: float) -> GridFunction:
@@ -117,14 +133,8 @@ def frac_derivative_minus(f: GridFunction, kappa: float, lam: float) -> GridFunc
     dx = f.grid.dx
     vals = f.values
     c = kappa / _sp.gamma(1.0 - kappa)
-    edges = lam * dx * np.arange(n + 2)
-    # tail masses T_p = int_{p dx}^inf u^{-kappa-1} e^{-lam u} du and the
-    # u-weighted analog; cell moments follow by differencing
-    T0, T1 = _tail_masses(kappa, lam, edges[1:])                # p = 1..n+1
-    N0 = -np.diff(T0)                                           # cells p = 1..n
-    N1 = -np.diff(T1)
-    up = dx * np.arange(1, n + 1)
-    B = (N1 - up * N0) / dx                                     # theta moment, cells 1..n
+    # N0, B: cells p = 1..n; T0: edges p = 1..n+1
+    N0, B, T0 = _marchaud_moments(kappa, lam, dx, n)
     A = N0 - B
     # first cell: f(y) - f(y+u) ~ -slope*u, int_0^dx u^{-kappa} e^{-lam u} du
     N1_0 = lam ** (kappa - 1.0) * lower_gamma(1.0 - kappa, lam * dx)

@@ -106,7 +106,7 @@ def _engine(command, config):
     """Version of the numerical route behind a run's bytes; manifests record
     it only when it is not 0, so those of unchanged routes keep their bytes.
     analytic: per curve, as in _CURVES, 1 more for acvf2 and acvf2band with
-    d < 0.  simulate: 3, 1 more for type II.  simulate and verify: 1 more
+    d < 0.  simulate: 4, 1 more for type II.  simulate and verify: 1 more
     for a tempered-stable driver with alpha < 1 (split cells); simulate and
     the verify suites that draw (isometry, all): 1 more for a driver that
     draws compound-Poisson jumps (cpois, or tstable with alpha >= 1).  The
@@ -119,7 +119,7 @@ def _engine(command, config):
     split = driver == "tstable" and config["alpha"] < 1.0
     jumps = driver == "cpois" or (driver == "tstable" and not split)
     draws = simulate or config.get("suite") in ("isometry", "all")
-    return (3 * simulate + int(simulate and config["kind"].endswith("2"))
+    return (4 * simulate + int(simulate and config["kind"].endswith("2"))
             + int(split) + int(jumps and draws))
 
 

@@ -83,3 +83,17 @@ class SamplePath:
         if self.kind in ("TFLP1", "TFLP2") and self.grid.x_min == 0.0:
             if self.values[0] != 0.0:
                 raise ValueError("SamplePath: process paths start at S(0) = 0")
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n, n >= 1: a length that numpy.fft's
+    pocketfft transforms fast (scipy.fft.next_fast_len(n, real=True))."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best

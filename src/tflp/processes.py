@@ -59,13 +59,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .driver import LevyDriverSpec, sample_increments
 from .errors import check_budget
-from .grids import SampleGrid, SamplePath
-from .special import gamma_fn, lower_gamma, upper_gamma
+from .grids import SampleGrid, SamplePath, next_fast_len
+from .special import cell_moments, gamma_fn, lower_gamma, series_start, upper_gamma
 
 __all__ = [
     "TemperedParams",
@@ -76,7 +75,7 @@ __all__ = [
 ]
 
 # one FFT pair of a path costs about this many einsum multiply-adds per
-# nfft log2(nfft) (scipy.fft against np.einsum, numpy 2.4, 2-core x86 host:
+# nfft log2(nfft) (numpy.fft against np.einsum, numpy 2.4, 2-core x86 host:
 # 1.9-2.9 ns against 0.6-0.9 ns)
 _FFT_MACS = 3.0
 
@@ -157,35 +156,47 @@ def _cell_averages(kind, d, lam, dx, start, stop, smooth=False):
     Gamma(1+d)).  The weights are the cell averages of G, or with smooth the
     means (G(p dx) + G((p+1) dx)) / 2 of its edge values.
 
-    Each average is a difference of an antiderivative at the cell edges.
-    Near the origin (lam u < 1/2) the antiderivatives are the growing W,
-    w + lam W and int_0^u W = u W(u) - lam^{-d-2} gamma_lower(d+2, lam u);
-    beyond, the ones that decay with the lag, so far cells do not lose
-    digits to cancellation: W - W(inf) = -lam^{-d-1} Gamma(d+1, lam u),
-    w + lam W - c = -d lam^{-d} Gamma(d, lam u), and its integral by
+    From the cell P = series_start(a) on (a = d for type I, d - 1 for type
+    II), the averages take special.cell_moments, a series with nothing to
+    cancel: type I is int_cell w / dx, and type II, G - c = -d lam^{-d}
+    Gamma(d, lam u), by int_x^{x+h} Gamma(d, t) dt = int_x^{x+h} (v - x)
+    v^{d-1} e^{-v} dv + h Gamma(d, x + h), the theta-moment of u^{d-1}
+    e^{-lam u} plus the upper gamma at the cell's right edge.  The cells
+    before P are differences of an antiderivative at the cell edges.  Near
+    the origin (lam u < 1/2) these are the growing W, w + lam W and
+    int_0^u W = u W(u) - lam^{-d-2} gamma_lower(d+2, lam u); beyond, the
+    ones that decay with the lag: W - W(inf) = -lam^{-d-1} Gamma(d+1, lam
+    u), w + lam W - c = -d lam^{-d} Gamma(d, lam u), and its integral by
     int Gamma(d, lam u) du = u Gamma(d, lam u) - Gamma(d+1, lam u) / lam =
-    ((lam u - d) Gamma(d, lam u) - (lam u)^d e^{-lam u}) / lam.  The edge
-    values of type II take G - c from the same two forms."""
+    ((lam u - d) Gamma(d, lam u) - (lam u)^d e^{-lam u}) / lam.  A
+    difference loses about log10(max(p, 1 / (lam dx))) digits, and the
+    decaying forms hold only where 1 / (lam dx) <= 2 p, so under log10(2 P).
+    The edge values of type II take G - c from the same two forms."""
     edges = dx * np.arange(start, stop + 1)
     if smooth and kind == "TFLP1":
         G = _w(edges, d, lam)
         return 0.0, 0.5 * (G[1:] + G[:-1])
-    split = min(max(int(np.ceil(0.5 / (lam * dx))), start), stop) - start
-    u, x = edges[:split + 1], lam * edges[split:]
+    series = stop if smooth else min(max(series_start(d if kind == "TFLP1" else d - 1.0),
+                                         start), stop)
+    split = min(max(int(np.ceil(0.5 / (lam * dx))), start), series) - start
+    u, x = edges[:split + 1], lam * edges[split:series - start + 1]
     if kind == "TFLP1":
         near = np.diff(_w_antideriv(u, d, lam)) / dx
         far = -lam ** (-d - 1.0) * upper_gamma(d + 1.0, x)
-        return 0.0, np.concatenate((near, np.diff(far) / dx))
+        return 0.0, np.concatenate((near, np.diff(far) / dx,
+                                    cell_moments(d, lam, dx, series, stop) / dx))
     c = lam ** -d * gamma_fn(1.0 + d)
     W = _w_antideriv(u, d, lam)
-    gamma_d = upper_gamma(d, x)
+    gamma_d = upper_gamma(d, lam * edges[split:])
     if smooth:
         G = np.concatenate(((_w(u, d, lam) + lam * W - c)[:-1], -d * lam ** -d * gamma_d))
         return c, 0.5 * (G[1:] + G[:-1])
     WW = u * W - lam ** (-d - 2.0) * lower_gamma(d + 2.0, lam * u)
     near = np.diff(W) / dx + lam * np.diff(WW) / dx - c
-    far = -d * lam ** (-d - 1.0) * ((x - d) * gamma_d - x ** d * np.exp(-x))
-    return c, np.concatenate((near, np.diff(far) / dx))
+    far = -d * lam ** (-d - 1.0) * ((x - d) * gamma_d[:len(x)] - x ** d * np.exp(-x))
+    tail = -d * (cell_moments(d - 1.0, lam, dx, series, stop, theta=1)
+                 + lam ** -d * gamma_d[len(x):])
+    return c, np.concatenate((near, np.diff(far) / dx, tail))
 
 
 def _kernel_cells(kind, params, dt, n, smooth=False):
@@ -239,7 +250,7 @@ def _lag_reader(r, n, n_hist, step):
     K-th point on."""
     K, n_fine = len(r), n - n_hist
     size = K + min(n_fine, 3 * K)
-    nfft = next_fast_len(size, real=True)
+    nfft = next_fast_len(size)
     hop = nfft - K + 1
     blocks = -(-(n_fine + 1) // hop)
     direct = (n_fine // step + 2) * K < _FFT_MACS * blocks * size * np.log2(size)

@@ -375,6 +375,21 @@ def test_acvf_where_lam_times_lag_past_one_rounds_to_zero():
             acvf(TemperedParams(0.2, 5e-324), 1.5)
 
 
+@pytest.mark.parametrize("acvf", [acvf_tfln1, acvf_tfln2])
+def test_acvf_below_the_lambda_floor_raises_past_lag_two(acvf):
+    # below lam = 1e-130 a lag h >> 1 either differenced G (or H) and lost
+    # every digit (lam = 1e-160, h = 1e10 read -3.957 for type I) or took
+    # stencil weights of order lam^2 that underflowed (lam = 1e-200, h = 1e40
+    # read 0.0, where the value is 2.786e-25)
+    for lam, h in ((1e-160, 1e10), (1e-200, 1e40), (1e-131, 2.5)):
+        with pytest.raises(ToleranceError, match="floor"):
+            acvf(TemperedParams(0.2, lam), h)
+    # lags up to 2 keep the untempered limit
+    for h in (0.0, 1.0, 2.0):
+        assert abs(acvf(TemperedParams(0.2, 1e-160), h)
+                   / acvf(TemperedParams(0.2, 1e-100), h) - 1.0) < 1e-11
+
+
 def test_acvf_tfln1_asymptotic_rejects_nonpositive_lags():
     p = TemperedParams(-0.3, 1.0)
     for h in (0.0, -1.0, [1.0, 0.0]):
@@ -545,17 +560,21 @@ def test_structure_function_deterministic_path():
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # only the quadrature routes need scipy.integrate; they import it
     # on first call, which keeps it off the cold start of every command,
-    # and the closed-form TFLP II covariance does not call them
+    # and the closed-form TFLP II covariance does not call them.  Every FFT
+    # is numpy's, so scipy.fft and scipy.signal stay unloaded as well
     src = os.path.dirname(os.path.dirname(tflp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, tflp; print('scipy.integrate' in sys.modules)"
+    heavy = "[m in sys.modules for m in ('scipy.integrate', 'scipy.fft', 'scipy.signal')]"
+    code = f"import sys, tflp; print(*{heavy})"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False"] * 3
     code = ("import sys; from tflp.cli import main; "
-            "code = main(['analytic', 'cov2', '--d', '0.3', '--lambda', '0.5', "
-            "'--out', sys.argv[1]]); print(code, 'scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cov2.csv")],
+            "codes = [main(['analytic', 'cov2', '--d', '0.3', '--lambda', '0.5', "
+            "'--out', sys.argv[1] + '/cov2.csv']), "
+            "main(['simulate', 'tflp2', '--d', '0.3', '--lambda', '0.5', '--n', '64', "
+            f"'--out', sys.argv[1] + '/path.csv'])]; print(*codes, *{heavy})")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          env=env, check=True, capture_output=True, text=True,
                          timeout=120)
-    assert out.stdout.split() == ["0", "False"]
+    assert out.stdout.split() == ["0", "0"] + ["False"] * 3

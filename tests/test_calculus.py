@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tflp.calculus import (
-    _correlate, _tail_masses, fourier_multiplier, frac_derivative_minus,
+    _correlate, _marchaud_moments, fourier_multiplier, frac_derivative_minus,
     frac_derivative_plus, frac_integral_minus, frac_integral_plus,
     sobolev_norm,
 )
@@ -29,16 +29,22 @@ def test_correlate_matches_scipy_signal_bit_for_bit():
                                       fftconvolve(weights, values[::-1])[:m][::-1])
 
 
-def test_tail_masses_equal_two_upper_gamma_calls_bit_for_bit():
-    # frac_derivative_minus once took T0 and T1 from two upper_gamma calls,
-    # the first recomputing Gamma(1 - kappa, x) inside its recurrence
+def test_tail_masses_telescope_against_cell_moments():
+    # T0, the tail masses int_{p dx}^inf u^{-kappa-1} e^{-lam u} du at the
+    # edges, are suffix sums of the cell moments N0 from the last edge's
+    # upper gamma, so they telescope against N0 to rounding and meet the
+    # upper gamma again at the first edge
     for kappa in (0.2, 0.5, 0.8):
-        for lam, dx in ((0.3, 2.0 ** -6), (1.0, 50.0 / 2 ** 16), (2.5, 0.1)):
-            x = lam * dx * np.arange(1, 4098)
-            T0, T1 = _tail_masses(kappa, lam, x)
-            np.testing.assert_array_equal(T0, lam ** kappa * upper_gamma(-kappa, x))
-            np.testing.assert_array_equal(T1, lam ** (kappa - 1.0)
-                                          * upper_gamma(1.0 - kappa, x))
+        for lam, dx, n in ((0.3, 2.0 ** -6, 4097), (1.0, 50.0 / 2 ** 16, 2 ** 16),
+                           (2.5, 0.1, 4), (2.5, 0.1, 500)):
+            N0, B, T0 = _marchaud_moments(kappa, lam, dx, n)
+            assert len(N0) == len(B) == n and len(T0) == n + 1
+            x = lam * dx * np.array([1.0, n + 1.0])
+            first, last = lam ** kappa * upper_gamma(-kappa, x)
+            assert T0[-1] == last
+            assert abs(T0[0] / first - 1.0) < 1e-14
+            assert np.all(np.abs(T0[:-1] - T0[1:] - N0) <= 2.0 ** -50 * T0[:-1])
+            assert np.all((0.0 < B) & (B < N0))
 
 
 def test_integral_of_exponential_eigenfunction():

@@ -207,19 +207,20 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
             # with the kernel cut below rounding and its far-lag constant
             # added through the cumulative increments (engine 2), and direct
             # sums over windows of the increments also when nothing is cut
-            # (engine 3)
-            ([*simulate[:10], "--driver", "gauss"], 3),
+            # (engine 3), and its kernel cells from series_start on take the
+            # series of cell_moments (engine 4)
+            ([*simulate[:10], "--driver", "gauss"], 4),
             # drivers that draw compound-Poisson jumps count them once and
             # scatter them over the cells (one more)
-            (simulate[:10], 4),
-            ([*simulate, "--alpha", "1.4"], 4),
+            (simulate[:10], 5),
+            ([*simulate, "--alpha", "1.4"], 5),
             # tempered-stable drivers with alpha < 1 split their cells into
             # sub-increments instead (one more)
-            ([*simulate, "--alpha", "0.7"], 4),
+            ([*simulate, "--alpha", "0.7"], 5),
             # type II adds its far-lag constant through the cumulative
             # increments also when nothing is cut (one more)
-            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 5),
-            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 5),
+            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 6),
+            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 6),
             # verify suites that draw take the new compound-Poisson draws too
             (["verify", "isometry", "--n-draws", "200"], 1),
             (["verify", "isometry", "--n-draws", "200", "--driver", "tstable",
@@ -318,6 +319,17 @@ def test_acvf2_at_strong_tempering_writes_finite_values(tmp_path, lam, lags):
                 "--range", lags, "--out", out]) == 0
     names, data = read_csv(out)
     assert len(data) >= 3 and np.all(np.isfinite(data))
+
+
+@pytest.mark.parametrize("curve, lags", [("acvf2", "0:3:1"), ("cov2", "0.5:2:0.5")])
+def test_type2_curves_out_of_double_range_exit_3(tmp_path, curve, lags):
+    # at lam = 1e-200, S(z) = z [K_mu L_{mu-1} + L_mu K_{mu-1}] of H has an
+    # overflowing K against an underflowing L; those rows were written as
+    # nan with exit 0
+    out = tmp_path / "h.csv"
+    assert run(["analytic", curve, "--d", "-0.3", "--lambda", "1e-200",
+                "--range", lags, "--out", out]) == 3
+    assert not out.exists()
 
 
 def test_rerun_ignores_retired_verify_budget_key(tmp_path):

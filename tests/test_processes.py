@@ -409,15 +409,19 @@ _FAR_LAGS = [0, 1, 2, 3, 5, 8, 9, 10, 11, 13, 16, 20, 25, 28, 32, 40, 50, 64, 10
     ("TFLP1", -0.3, 0.5, 0.125, False, None),
     ("TFLP1", 0.8, 0.5, 0.125, True, None),
     ("TFLP2", 1.3, 0.05, 1.0, True, None),
+    ("TFLP1", 0.2, 0.3, 2.0 ** -10, False, None),
+    ("TFLP2", 1.3, 0.05, 2.0 ** -9, False, None),
 ])
 def test_cell_averages_match_mpmath_at_far_lags(kind, d, lam, dx, smooth, rtol):
     # quadrature of the defining integrands at 30 digits, or with smooth
     # their edge values.  Type II tends to its constant c, which the far lags
     # once reached only through a difference of values that grow with the
     # lag: relative errors of 3e-13 at lag 5000 and 3e-12 at lag 1e5 in the
-    # first setting.  Every r stays within 2e-13 of its peak (scipy's
-    # incomplete gammas, good to about 5e-15 near lam u = 1.6, lose a factor
-    # 1 / (lam dx) in the differences)
+    # first setting.  Every r stays within 5e-15 of its peak.  Differences
+    # of incomplete gammas at the cell edges, good to about 5e-15, lose a
+    # factor 1 / (lam dx): the last two settings were 1.4e-11 and 4.3e-12 of
+    # the peak off when every cell past lam u = 1/2 took them; the series
+    # of cell_moments leaves them only the cells below series_start
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         D, L, X = mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(dx)
@@ -432,7 +436,7 @@ def test_cell_averages_match_mpmath_at_far_lags(kind, d, lam, dx, smooth, rtol):
                             for k in _FAR_LAGS])
     c, r = _cell_averages(kind, d, lam, dx, 0, _FAR_LAGS[-1] + 1, smooth)
     got = c + r[_FAR_LAGS]
-    assert np.max(np.abs(got - ref)) <= 2e-13 * np.max(np.abs(ref - c))
+    assert np.max(np.abs(got - ref)) <= 5e-15 * np.max(np.abs(ref - c))
     if rtol:
         np.testing.assert_allclose(got, ref, rtol=rtol, atol=0)
 

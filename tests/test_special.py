@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from tflp.errors import ParameterError
-from tflp.special import (bessel_k, bessel_k_scaled, gamma_fn, struve_l,
+from tflp.special import (_SERIES_TERMS, _series_bound, bessel_k, bessel_k_scaled,
+                          cell_moments, gamma_fn, series_start, struve_l,
                           upper_gamma)
 
 
@@ -101,3 +102,37 @@ def test_struve_l_against_integral_representation():
             assert abs(struve_l(nu, z) / ref - 1.0) < 1e-12, (nu, z)
     np.testing.assert_array_equal(struve_l(0.7, np.array([0.5, 4.0])),
                                   [struve_l(0.7, 0.5), struve_l(0.7, 4.0)])
+
+
+# the exponents the callers pass: kappa - 1, kappa (integral), -kappa - 1,
+# -kappa (derivative), and d, d - 1 (path kernel cells)
+_CELL_EXPONENTS = sorted({e for k in (0.2, 0.5, 0.8) for e in (k - 1, k, -k - 1, -k)}
+                         | {e for d in (-0.49, 0.35, 2.2, 85.0) for e in (d, d - 1)})
+
+
+@pytest.mark.parametrize("a", _CELL_EXPONENTS, ids=[f"{a:.2f}" for a in _CELL_EXPONENTS])
+def test_cell_moments_within_stated_bound_of_mpmath(a):
+    # int_cell u^a e^{-u} theta^k du at 25 digits, in u = (p + v) dx, against
+    # the truncation bound plus a few units of rounding of u^a e^{-u}; with
+    # lam = 1 the cell width dx is h = lam dx
+    mpmath = pytest.importorskip("mpmath")
+    P = series_start(a)
+    assert _series_bound(a, P) <= 2.0 ** -53
+    assert P == 2 or _series_bound(a, P - 1) > 2.0 ** -53
+    for h in (1e-6, 1e-2, 1.0, 50.0):
+        for p in (P - 1, P, P + 1, 1000, 100000):
+            u = p * h
+            tol = _series_bound(a, p) + 2.0 ** -51 * (
+                abs(a) * (1.0 + abs(math.log(u))) + u + _SERIES_TERMS)
+            for theta in (0, 1):
+                got = cell_moments(a, 1.0, h, p, p + 1, theta)[0]
+                with mpmath.workdps(25):
+                    A, X = mpmath.mpf(a), mpmath.mpf(h)
+                    ref = X * (p * X) ** A * mpmath.exp(-p * X) * mpmath.quad(
+                        lambda v: (1 + v / p) ** A * mpmath.exp(-X * v) * v ** theta,
+                        [0, 1], method="gauss-legendre")
+                if ref < 1e-290:   # e^{-u} below double range
+                    assert got < 1e-280
+                    continue
+                assert abs(got - ref) <= tol * ref, (h, p, theta)
+
