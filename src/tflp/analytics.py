@@ -82,6 +82,9 @@ __all__ = [
 ]
 
 _SQRT_PI = np.sqrt(np.pi)
+_LN2 = math.log(2.0)
+# e^x is a normal double between these x
+_LOG_TINY, _LOG_HUGE = -708.0, 709.78
 
 
 @dataclass
@@ -115,24 +118,28 @@ def _g_nodes(m: int, panels: int):
     return y, weights
 
 
-def _big_g(d: float, lam: float, t: float) -> float:
-    """G(t) = |t|^{1+2d} C^2_{d,lam,|t|}; G(0) = 0, G(inf) = A.
+def _big_g(d: float, lam: float, t: float, log_scale: float = 0.0) -> float:
+    """G(t) e^{log_scale}, G(t) = |t|^{1+2d} C^2_{d,lam,|t|}; G(0) = 0, G(inf) = A.
 
     By DLMF 10.32.10, G(t) = (A/Gamma(nu)) int_0^inf e^{-u} u^{nu-1}
     (1 - e^{-q/u}) du, q = (lam t)^2/4: a positive integrand, so no digits
     cancel.  Below u0 <= q/40 the bracket is 1 to within e^{-40}, so that
     head is lower_gamma(nu, u0); the body is taken in y = log u on the k
     panels of _g_nodes from the edge below log(q/40) to u = e^{5.5}, past
-    which e^{-u} u^nu is below rounding for nu up to 86 (where Gamma(1+2d)
-    overflows).  The integrand e^{nu y - e^y} narrows like nu^{-1/2}, so
-    m = ceil(sqrt(nu/6)) panels per half unit of y keep the rule within
-    1e-14.  log q is a sum of logs, so lam t may underflow; but the terms
-    underflow where G/A is below 1e-290, so that raises ToleranceError."""
+    which e^{-u} u^nu is below rounding for nu up to 120.  The integrand
+    e^{nu y - e^y} narrows like nu^{-1/2}, so m = ceil(sqrt(nu/6)) panels
+    per half unit of y keep the rule within 1e-14.  log q is a sum of logs,
+    so lam t may underflow; but the terms underflow where G/A is below
+    1e-290, so that raises ToleranceError.  A = 2 Gamma(1+2d)/(2 lam)^{1+2d}
+    is taken in logs, with the caller's factor e^{log_scale}, so only a
+    result out of double range raises ToleranceError, which names it."""
     t = abs(float(t))
     if t == 0.0:
         return 0.0
     nu = d + 0.5
-    A = 2.0 * gamma_fn(1.0 + 2.0 * d) / (2.0 * lam) ** (1.0 + 2.0 * d)
+    if nu > 120.0:
+        raise ToleranceError(f"G: d = {d:g} is beyond 119.5, where its integral "
+                             "reaches past the rule's last panel")
     log_q = 2.0 * (math.log(lam) + math.log(t)) - math.log(4.0)
     m = math.ceil(math.sqrt(nu / 6.0))
     k = max(11 * m - math.floor(2 * m * (log_q - math.log(40.0))), 0)
@@ -143,32 +150,46 @@ def _big_g(d: float, lam: float, t: float) -> float:
     if ratio < 1e-290:
         raise ToleranceError(f"G: at lam = {lam:g}, t = {t:g} it is below 1e-290 "
                              "of its plateau, out of double range")
-    return A * ratio
+    log_a = _LN2 + math.lgamma(1.0 + 2.0 * d) - (1.0 + 2.0 * d) * (_LN2 + math.log(lam))
+    return _times_exp(log_a + log_scale, ratio, f"G at lam = {lam:g}, t = {t:g}")
+
+
+def _times_exp(log_scale: float, x: float, what: str) -> float:
+    """x e^{log_scale} for x > 0, by powers of two so that no factor
+    overflows; ToleranceError naming what where the result leaves the
+    normal double range."""
+    log_out = log_scale + math.log(x)
+    if not _LOG_TINY < log_out < _LOG_HUGE:
+        raise ToleranceError(f"{what} is e^{log_out:.6g}, out of double range")
+    n = round(log_scale / _LN2)
+    return math.ldexp(math.exp(log_scale - n * _LN2) * x, n)
 
 
 def ct_squared(params: TemperedParams, t: float) -> float:
-    """Squared scale factor C^2_{d,lam,|t|} of the type I variance; 0 at t=0.
-    G is divided by t^{1/2+d} twice, as t^{1+2d} itself may underflow."""
+    """Squared scale factor C^2_{d,lam,|t|} = G(t)/t^{1+2d} of the type I
+    variance; 0 at t=0.  t^{1+2d} enters G's logarithmic scale, as it may
+    underflow or overflow by itself."""
     t = abs(float(t))
     if t == 0.0:
         return 0.0
-    root = t ** (0.5 + params.d)
-    return _big_g(params.d, params.lam, t) / root / root
+    return _big_g(params.d, params.lam, t, -(1.0 + 2.0 * params.d) * math.log(t))
 
 
 def cov_tflp1(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> float:
     """Cov[S^I(s), S^I(t)] for the type I process driven with E[L(1)^2] = EL2."""
     d, lam = params.d, params.lam
-    g = gamma_fn(1.0 + d)
-    return EL2 / (2.0 * g * g) * (
-        _big_g(d, lam, t) + _big_g(d, lam, s) - _big_g(d, lam, t - s))
+    scale = -2.0 * math.lgamma(1.0 + d)   # 1/Gamma(1+d)^2, Gamma(1+d) > 0
+    return 0.5 * EL2 * (_big_g(d, lam, t, scale) + _big_g(d, lam, s, scale)
+                        - _big_g(d, lam, t - s, scale))
 
 
 def var_limit_tflp1(params: TemperedParams, EL2: float = 1.0) -> float:
-    """Large-time variance plateau 2 EL2 Gamma(1+2d)/(Gamma(1+d)^2 (2 lam)^{1+2d})."""
+    """Large-time variance plateau 2 EL2 Gamma(1+2d)/(Gamma(1+d)^2 (2 lam)^{1+2d}),
+    its constants in logs."""
     d, lam = params.d, params.lam
-    g = gamma_fn(1.0 + d)
-    return 2.0 * EL2 * gamma_fn(1.0 + 2.0 * d) / (g * g * (2.0 * lam) ** (1.0 + 2.0 * d))
+    log_v = (_LN2 + math.lgamma(1.0 + 2.0 * d) - 2.0 * math.lgamma(1.0 + d)
+             - (1.0 + 2.0 * d) * (_LN2 + math.log(lam)))
+    return EL2 * _times_exp(log_v, 1.0, f"the variance limit at d = {d:g}, lam = {lam:g}")
 
 
 def _big_h(d: float, lam: float, x: float) -> float:
@@ -184,8 +205,8 @@ def _big_h(d: float, lam: float, x: float) -> float:
     mu, z = d - 0.5, lam * x
     S = 1.0
     if z < 40.0 + 2.0 * mu:
-        S = z * (bessel_k(mu, z) * struve_l(mu - 1.0, z)
-                 + struve_l(mu, z) * bessel_k(mu - 1.0, z))
+        k_mu, k_mu1 = bessel_k((mu, mu - 1.0), z).tolist()
+        S = z * (k_mu * struve_l(mu - 1.0, z) + struve_l(mu, z) * k_mu1)
     if not math.isfinite(S):
         raise ToleranceError(f"H: S(z) at z = lam x = {z:g} is out of double range")
     return 0.5 * x * S / lam ** (2.0 * d) \
@@ -279,8 +300,9 @@ def acvf_tfln1(params: TemperedParams, h: float, EL2: float = 1.0) -> float:
     # G = A - B lam^{-nu} z^nu K_nu(z), z = lam t, so G''(t) = -B lam^{2-nu}
     # e^{-z} g2(z) (DLMF 10.29.4), B = 2 Gamma(1+d) (2 lam)^{-nu} / sqrt(pi)
     c = -2.0 * g * 2.0 ** -nu * lam ** (-2.0 * nu) / _SQRT_PI
-    g2 = lambda z: z ** (nu - 1.0) * (
-        z * bessel_k_scaled(nu - 2.0, z) - bessel_k_scaled(nu - 1.0, z))
+    def g2(z):
+        k2, k1 = bessel_k_scaled((nu - 2.0, nu - 1.0), z)
+        return z ** (nu - 1.0) * (z * k2 - k1)
     return EL2 / (2.0 * g * g) * _second_difference(
         lam, h, d, lambda t: _big_g(d, lam, t), c, g2)
 

@@ -35,11 +35,10 @@ is spectrally accurate, so the gap tracks the Marchaud error.
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy import special as _sp
 
 from .errors import ToleranceError
 from .grids import GridFunction, next_fast_len
-from .special import cell_moments, lower_gamma, series_start, upper_gamma
+from .special import cell_moments, gamma_fn, lower_gamma, series_start, upper_gamma
 
 __all__ = [
     "frac_integral_minus", "frac_integral_plus",
@@ -84,13 +83,16 @@ def frac_integral_minus(f: GridFunction, kappa: float, lam: float) -> GridFuncti
     # cells [p dx, (p+1) dx], p = 0..n, k = u^{kappa-1} e^{-lam u}/Gamma(kappa):
     # M0 = int k(u) du and B = int theta k(u) du, theta = u/dx - p
     P = min(series_start(kappa - 1.0), n + 1)
+    # the series first: it raises where the kernel leaves double range
+    far = cell_moments(kappa - 1.0, lam, dx, P, n + 1)
+    far_theta = cell_moments(kappa - 1.0, lam, dx, P, n + 1, theta=1)
+    scale = 1.0 / gamma_fn(kappa)
     edges = lam * dx * np.arange(P + 1)
-    M0 = lam ** -kappa * np.diff(_sp.gammainc(kappa, edges))
-    M1 = lam ** -kappa * (kappa / lam) * np.diff(_sp.gammainc(kappa + 1.0, edges))
-    B = (M1 - dx * np.arange(P) * M0) / dx
-    scale = 1.0 / _sp.gamma(kappa)
-    M0 = np.concatenate((M0, scale * cell_moments(kappa - 1.0, lam, dx, P, n + 1)))
-    B = np.concatenate((B, scale * cell_moments(kappa - 1.0, lam, dx, P, n + 1, theta=1)))
+    M0 = lam ** -kappa * np.diff(lower_gamma(kappa, edges))
+    M1 = lam ** -kappa / lam * np.diff(lower_gamma(kappa + 1.0, edges))
+    B = (M1 - dx * np.arange(P) * M0) * scale / dx
+    M0 = np.concatenate((M0 * scale, scale * far))
+    B = np.concatenate((B, scale * far_theta))
     # hat-function weights: node p collects the theta part of cell p-1 and
     # the (1-theta) part of cell p
     w = M0 - B
@@ -132,7 +134,7 @@ def frac_derivative_minus(f: GridFunction, kappa: float, lam: float) -> GridFunc
     n = f.grid.n_cells
     dx = f.grid.dx
     vals = f.values
-    c = kappa / _sp.gamma(1.0 - kappa)
+    c = kappa / gamma_fn(1.0 - kappa)
     # N0, B: cells p = 1..n; T0: edges p = 1..n+1
     N0, B, T0 = _marchaud_moments(kappa, lam, dx, n)
     A = N0 - B

@@ -37,11 +37,10 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import check_budget
 from .grids import SampleGrid
-from .special import upper_gamma as _upper_gamma
+from .special import gamma_fn, lower_gamma, upper_gamma as _upper_gamma
 
 __all__ = [
     "JumpLaw", "UniformSymmetric", "GaussianJumps", "TwoPoint",
@@ -185,7 +184,7 @@ def second_moment(spec) -> float:
         return spec.intensity * spec.jump_law.second_moment()
     if isinstance(spec, TemperedStable):
         # 2 * scale * int_0^inf x^(1-alpha) e^(-lam x) dx
-        return 2.0 * spec.scale * _sp.gamma(2.0 - spec.alpha) * spec.lambda_noise ** (spec.alpha - 2.0)
+        return 2.0 * spec.scale * gamma_fn(2.0 - spec.alpha) * spec.lambda_noise ** (spec.alpha - 2.0)
     if isinstance(spec, GaussianValidation):
         return spec.sigma ** 2
     raise TypeError(f"unknown driver spec {spec!r}")
@@ -208,7 +207,7 @@ def char_exponent(spec, theta):
                              - theta * np.arctan(theta / lam))
         else:
             z = (lam + 1j * theta) ** a
-            psi = c * _sp.gamma(-a) * (2.0 * z.real - 2.0 * lam ** a)
+            psi = c * gamma_fn(-a) * (2.0 * z.real - 2.0 * lam ** a)
         return psi.astype(complex) if np.ndim(psi) else complex(psi)
     if isinstance(spec, GaussianValidation):
         psi = -0.5 * (spec.sigma * theta) ** 2
@@ -281,7 +280,7 @@ def _rejection(rng, n, propose, accept_prob):
 def _tilted_subordinator(rng, alpha, lam, c, dt, n):
     """Tempered stable subordinator increments over dt, Levy density c x^{-1-alpha} e^{-lam x},
     each the sum of m sub-increments accepted with probability at least 1/e."""
-    sigma_alpha = c * dt * _sp.gamma(1.0 - alpha) / alpha
+    sigma_alpha = c * dt * gamma_fn(1.0 - alpha) / alpha
     m = max(1, math.ceil(lam ** alpha * sigma_alpha))
     check_budget(m * max(n, _MIN_STEP_DRAWS), "sample_increments: sub-step draws")
     sigma = (sigma_alpha / m) ** (1.0 / alpha)
@@ -313,7 +312,7 @@ def _tempered_stable_increments(spec, dt, n, rng):
     out = _compound_poisson(rng, big_rate * dt, n, lambda k: (
         _truncated_jump_sizes(rng, a, lam, eps, k) * (2.0 * rng.integers(0, 2, size=k) - 1.0)))
     # variance of jumps below the cutoff (both sides)
-    small_var = 2.0 * c * lam ** (a - 2.0) * float(_sp.gamma(2.0 - a) * _sp.gammainc(2.0 - a, lam * eps))
+    small_var = 2.0 * c * lam ** (a - 2.0) * lower_gamma(2.0 - a, lam * eps)
     out += rng.normal(0.0, np.sqrt(small_var * dt), size=n)
     return out
 

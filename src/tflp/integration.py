@@ -34,7 +34,7 @@ from .driver import LevyDriverSpec, sample_increments, second_moment
 from .errors import ToleranceError
 from .grids import GridFunction, SampleGrid, SamplePath
 from .processes import TemperedParams, truncation_width
-from .special import gamma_fn, lower_gamma, upper_gamma
+from .special import gamma_fn, upper_gamma_on_grid
 
 __all__ = [
     "ElementaryFunction", "IntegrandTransform",
@@ -115,27 +115,32 @@ def _discrete_norm(values, dx):
     return float(np.sqrt(np.sum(values[:-1] ** 2) * dx))
 
 
-def _step_transform(f: ElementaryFunction, op, kappa, lam, y):
-    """I^{kappa,lam}_- f or D^{kappa,lam}_- f on the points y, jump by jump:
-    f = sum_j J_j 1{y < t_j} with J_j = a_{j-1} - a_j (a_{-1} = a_n = 0), and
+def _step_transform(f: ElementaryFunction, op, kappa, lam, grid: SampleGrid):
+    """I^{kappa,lam}_- f or D^{kappa,lam}_- f on the grid points y, jump by
+    jump: f = sum_j J_j 1{y < t_j} with J_j = a_{j-1} - a_j (a_{-1} = a_n = 0),
+    and, with G the upper incomplete gamma,
 
-      I 1{y < t} = lam^{-kappa} gamma_lower(kappa, lam (t-y)_+) / Gamma(kappa)
-      D f(y)     = lam^kappa f(y) + (kappa/Gamma(1-kappa)) lam^kappa
-                   sum_{t_j > y} J_j G(-kappa, lam (t_j - y))
+      I f(y) = lam^-kappa f(y) - lam^-kappa / Gamma(kappa)
+               sum_{t_j > y} J_j G(kappa, lam (t_j - y))
+      D f(y) = lam^kappa f(y) + (kappa/Gamma(1-kappa)) lam^kappa
+               sum_{t_j > y} J_j G(-kappa, lam (t_j - y))
 
-    (G = upper incomplete gamma; the Marchaud form of the D operator).
-    lam^kappa f(y) is one term: as lam^kappa J_j per jump it would cancel
-    only in rounding below the first breakpoint, swamping the small tail."""
+    (I 1{y < t} = lam^-kappa gamma_lower(kappa, lam (t-y)_+) / Gamma(kappa);
+    the Marchaud form of the D operator).  The points y < t sit at t - y =
+    (i + theta) dx, i = 0, 1, ..., so each jump's G are
+    special.upper_gamma_on_grid.  The f(y) term is one term: per jump it
+    would cancel only in rounding below the first breakpoint, swamping the
+    small tail."""
+    y, dx = grid.points, grid.dx
     a = (0.0, *f.coefficients, 0.0)
-    jumps = zip(f.breakpoints, np.subtract(a[:-1], a[1:]))
-    if op == "I":
-        return sum(J * lower_gamma(kappa, lam * np.maximum(t - y, 0.0))
-                   for t, J in jumps) / (gamma_fn(kappa) * lam ** kappa)
+    s, c0, c1 = ((kappa, lam ** -kappa, -lam ** -kappa / gamma_fn(kappa)) if op == "I" else
+                 (-kappa, lam ** kappa, kappa / gamma_fn(1.0 - kappa) * lam ** kappa))
     tail = np.zeros_like(y)
-    for t, J in jumps:
+    for t, J in zip(f.breakpoints, np.subtract(a[:-1], a[1:])):
         k = np.searchsorted(y, t)  # y[:k] < t, the points the jump reaches
-        tail[:k] += J * upper_gamma(-kappa, lam * (t - y[:k]))
-    return lam ** kappa * f(y) + kappa / gamma_fn(1.0 - kappa) * lam ** kappa * tail
+        if k:
+            tail[:k] += J * upper_gamma_on_grid(s, lam, dx, (t - y[k - 1]) / dx, k)[::-1]
+    return c0 * f(y) + c1 * tail
 
 
 def _default_grid(f: ElementaryFunction, params: TemperedParams,
@@ -162,7 +167,7 @@ def transform_integrand(f, params: TemperedParams, target: str = "TFLP2",
     if isinstance(f, ElementaryFunction):
         if grid is None:
             grid = _default_grid(f, params, dx)
-        F = sum(k * _step_transform(f, op, order, lam, grid.points)
+        F = sum(k * _step_transform(f, op, order, lam, grid)
                 for k, op, order in terms)
     elif isinstance(f, GridFunction):
         grid = f.grid

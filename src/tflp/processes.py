@@ -64,7 +64,8 @@ from numpy.fft import irfft, rfft
 from .driver import LevyDriverSpec, sample_increments
 from .errors import check_budget
 from .grids import SampleGrid, SamplePath, next_fast_len
-from .special import cell_moments, gamma_fn, lower_gamma, series_start, upper_gamma
+from .special import (cell_moments, gamma_fn, lower_gamma, series_start, upper_gamma,
+                      upper_gamma_on_grid)
 
 __all__ = [
     "TemperedParams",
@@ -171,7 +172,8 @@ def _cell_averages(kind, d, lam, dx, start, stop, smooth=False):
     ((lam u - d) Gamma(d, lam u) - (lam u)^d e^{-lam u}) / lam.  A
     difference loses about log10(max(p, 1 / (lam dx))) digits, and the
     decaying forms hold only where 1 / (lam dx) <= 2 p, so under log10(2 P).
-    The edge values of type II take G - c from the same two forms."""
+    The edge values of type II take G - c from the same two forms, with
+    Gamma(d, lam u) beyond lam u = 1/2 from special.upper_gamma_on_grid."""
     edges = dx * np.arange(start, stop + 1)
     if smooth and kind == "TFLP1":
         G = _w(edges, d, lam)
@@ -187,7 +189,7 @@ def _cell_averages(kind, d, lam, dx, start, stop, smooth=False):
                                     cell_moments(d, lam, dx, series, stop) / dx))
     c = lam ** -d * gamma_fn(1.0 + d)
     W = _w_antideriv(u, d, lam)
-    gamma_d = upper_gamma(d, lam * edges[split:])
+    gamma_d = upper_gamma_on_grid(d, lam, dx, start + split, stop - start - split + 1)
     if smooth:
         G = np.concatenate(((_w(u, d, lam) + lam * W - c)[:-1], -d * lam ** -d * gamma_d))
         return c, 0.5 * (G[1:] + G[:-1])

@@ -1,14 +1,12 @@
 """Gamma, incomplete gamma, modified Bessel (second kind) and modified
-Struve functions.
-
-lower_gamma(s, x) = int_0^x u^{s-1} e^{-u} du (s > 0) and
-upper_gamma(s, x) = int_x^inf u^{s-1} e^{-u} du, with Gamma(0, x) = E_1(x)
-and negative s reached by Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s.
-Evaluation is delegated to scipy.special, except e^z K_nu(z) for
-z >= 2^29, near the bound 2^30 past which scipy's kve returns nan; there
-three terms of the large-argument expansion are exact to rounding.  A
-slow quadrature form of K_nu is kept in the test suite as an independent
-oracle.
+Struve functions, natively in math and numpy, so that importing them
+costs no more than numpy.  The incomplete gammas take a series or a
+continued fraction point by point (_incomplete), and the upper one on a
+long uniform grid sums of cell moments (upper_gamma_on_grid).  e^z K_nu(z)
+is the trapezoid rule on DLMF 10.32.9, which converges exponentially
+(Trefethen & Weideman, SIAM Review 56(3), 2014), and L_nu(z) its power
+series (DLMF 11.2.2).  A slow quadrature form of K_nu is kept in the test
+suite as an independent oracle.
 
 cell_moments integrates u^a e^{-lam u} over the cells [p dx, (p+1) dx]
 from p = series_start(a) on by a short series in 1/p, in place of a
@@ -17,17 +15,21 @@ log10(1/(lam dx)) digits where the cells are short against the decay.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
-from .errors import ParameterError
+from .errors import ParameterError, ToleranceError
 
 __all__ = ["gamma_fn", "lower_gamma", "lower_gamma_at_log", "upper_gamma",
-           "cell_moments", "series_start", "bessel_k", "bessel_k_scaled", "struve_l"]
+           "upper_gamma_on_grid", "cell_moments", "series_start", "bessel_k",
+           "bessel_k_scaled", "struve_l"]
 
 # Gamma overflows in double precision slightly above this argument.
 _GAMMA_OVERFLOW = 171.62
+_EPS = 2.0 ** -53
+# e^x overflows above this x
+_LOG_MAX = 709.78
 
 
 def gamma_fn(x):
@@ -37,16 +39,59 @@ def gamma_fn(x):
     when the result is not representable in double precision.
     """
     x = float(x)
-    if x <= 0.0 and x == np.floor(x):
+    if x <= 0.0 and x == math.floor(x):
         raise ParameterError(f"gamma_fn: pole at non-positive integer x={x}")
     if x > _GAMMA_OVERFLOW:
         raise OverflowError(f"gamma_fn: overflow for x={x}")
-    return float(_sp.gamma(x))
+    return math.gamma(x)
+
+
+def _incomplete(s, x, upper):
+    """Lower (s > 0) or upper incomplete gamma at one x >= 0: the series x^s
+    e^{-x} sum_k x^k / (s (s+1) ... (s+k)) (DLMF 8.7.1) below x = s + 1, the
+    even part of Legendre's continued fraction (DLMF 8.9.2) by modified
+    Lentz above it (and above x = 1 for s <= 0), each the other's
+    complement in Gamma(s).  Below x = 1, E_1 = Gamma(0, x) takes its series
+    (DLMF 6.6.2) and s < 0 the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s
+    e^{-x}) / s."""
+    if x == 0.0:
+        return math.gamma(s) if upper else 0.0
+    if s <= 0.0 and x < 1.0:
+        if s == 0.0:
+            return -0.5772156649015329 - math.log(x) - sum(
+                (-x) ** k / (k * math.factorial(k)) for k in range(1, 21))
+        return (_incomplete(s + 1.0, x, True) - math.exp(s * math.log(x) - x)) / s
+    scale = math.exp(s * math.log(x) - x)
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        k = s
+        while term > _EPS * total:
+            k += 1.0
+            term *= x / k
+            total += term
+        return math.gamma(s) - scale * total if upper else scale * total
+    b = x + 1.0 - s     # b_i = b_0 + 2i, a_i = i (s - i)
+    c, d, i = 1e300, 1.0 / b, 0
+    frac = d
+    while i == 0 or abs(c * d - 1.0) > _EPS:
+        i += 1
+        b += 2.0
+        d = 1.0 / (i * (s - i) * d + b)
+        c = b + i * (s - i) / c
+        frac *= c * d
+    return scale * frac if upper else math.gamma(s) - scale * frac
+
+
+def _pointwise(f, x):
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return f(float(x))
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def lower_gamma(s, x):
     """Lower incomplete gamma, s > 0, x >= 0."""
-    return _sp.gamma(s) * _sp.gammainc(s, x)
+    return _pointwise(lambda v: _incomplete(s, v, False), x)
 
 
 def lower_gamma_at_log(s, log_x):
@@ -56,17 +101,12 @@ def lower_gamma_at_log(s, log_x):
     to rounding."""
     if log_x < -40.0:
         return math.exp(s * log_x) / s
-    return float(lower_gamma(s, math.exp(log_x)))
+    return _incomplete(s, math.exp(log_x), False)
 
 
 def upper_gamma(s, x):
     """Upper incomplete gamma for x > 0 and s > -2."""
-    x = np.asarray(x, dtype=float)
-    if s > 0:
-        return _sp.gamma(s) * _sp.gammaincc(s, x)
-    if s == 0.0:
-        return _sp.exp1(x)
-    return (upper_gamma(s + 1.0, x) - x ** s * np.exp(-x)) / s
+    return _pointwise(lambda v: _incomplete(s, v, True), x)
 
 
 # terms J of the cell_moments series
@@ -109,87 +149,184 @@ def series_start(a):
 
 
 def _unit_moments(h, k):
-    """q_j = int_0^1 v^j e^{-h v} dv for j = 0..k-1: j! P(j+1, h) / h^{j+1}
-    for h >= 1; below, e^{-h} sum_i h^i / ((j+1) ... (j+i+1)) (DLMF 8.7.1),
-    whose positive terms fall below h^i / (i+1)!, to i = 23."""
+    """q_j = int_0^1 v^j e^{-h v} dv for j = 0..k-1: lower_gamma(j+1, h) /
+    h^{j+1} for h >= 1; below, e^{-h} sum_i h^i / ((j+1) ... (j+i+1)) (DLMF
+    8.7.1), whose positive terms fall below h^i / (i+1)!, to i = 23."""
     j = np.arange(k)
     if h >= 1.0:
-        return _sp.factorial(j) * _sp.gammainc(j + 1.0, h) * np.power(1.0 / h, j + 1.0)
+        return np.array([_incomplete(i + 1.0, h, False) for i in range(k)]) \
+            * np.power(1.0 / h, j + 1.0)
     ratios = np.empty((k, 24))
     ratios[:, 0] = 1.0 / (j + 1.0)
     ratios[:, 1:] = h / (j[:, None] + np.arange(2.0, 25.0))
     return math.exp(-h) * np.cumprod(ratios, axis=1).sum(axis=1)
 
 
-def cell_moments(a, lam, dx, p0, p1, theta=0):
-    """int_{p dx}^{(p+1) dx} u^a e^{-lam u} ((u - p dx)/dx)^theta du for the
-    cells p = p0..p1-1 (p0 >= 1, theta 0 or 1).
+def cell_moments(a, lam, dx, p0, p1, theta=0, shift=0.0):
+    """int_{q dx}^{(q+1) dx} u^a e^{-lam u} ((u - q dx)/dx)^theta du for the
+    cells q = p + shift, p = p0..p1-1 (p0 + shift >= 1, theta 0 or 1).
 
-    With u = (p + v) dx and h = lam dx, cell p is dx u_p^a e^{-lam u_p}
-    sum_{j<J} C(a, j) q_{j+theta} p^{-j}, q_j = int_0^1 v^j e^{-h v} dv:
-    the binomial series of (1 + v/p)^a, J = 16 terms.  One exp, one log
+    With u = (q + v) dx and h = lam dx, cell q is dx u_q^a e^{-lam u_q}
+    sum_{j<J} C(a, j) q_{j+theta} q^{-j}, q_j = int_0^1 v^j e^{-h v} dv:
+    the binomial series of (1 + v/q)^a, J = 16 terms.  One exp, one log
     and J multiply-adds per cell, and no difference of large values: from
-    p = series_start(a) on, the truncation is below 2^-53 relative
+    q = series_start(a) on, the truncation is below 2^-53 relative
     (_series_bound), and what remains is the rounding of u^a e^{-lam u}
     and of the sum, a few units of 2^-53 times |a| (1 + |log u|) + lam u
-    + J.
+    + J.  Where u^a e^{-lam u} leaves double range, ToleranceError is
+    raised before it overflows.
     """
     J = _SERIES_TERMS
     c = _binomials(a, J) * _unit_moments(lam * dx, J + theta)[theta:]
-    p = np.arange(p0, p1, dtype=float)
+    p = np.arange(p0, p1) + float(shift)
     y = 1.0 / p
     s = np.full_like(y, c[-1])
     for cj in c[-2::-1]:      # Horner in place: np.polyval's operations
         s *= y
         s += cj
     u = dx * p
-    return dx * np.exp(a * np.log(u) - lam * u) * s
+    log_w = a * np.log(u) - lam * u
+    if log_w.size and log_w.max() > _LOG_MAX:
+        at = u[np.argmax(log_w)]
+        raise ToleranceError(f"cell moments: u^{a:g} e^(-{lam:g} u) at u = {at:g} "
+                             "overflows double range")
+    return dx * np.exp(log_w) * s
+
+
+# edges per block of upper_gamma_on_grid
+_BLOCK = 1024
+
+
+def upper_gamma_on_grid(s, lam, dx, offset, n):
+    """upper_gamma(s, lam u_q) at u_q = (q + theta) dx > 0, q = q0..q0+n-1,
+    offset = q0 + theta, 0 <= theta < 1: direct below P = series_start(s-1);
+    from P on, the direct value at the next multiple of B = 1024 plus lam^s
+    cell_moments(s - 1) of the cells up to it.  Positive terms, and a value
+    depends on its q alone, whatever the range asked for."""
+    q0 = math.floor(offset)
+    theta = offset - q0
+    P = min(max(series_start(s - 1.0), q0), q0 + n)
+    direct = upper_gamma(s, lam * dx * (np.arange(q0, P) + theta))
+    if P == q0 + n:
+        return direct
+    B = _BLOCK
+    b0, b1 = P // B, (q0 + n - 1) // B + 1          # blocks b0..b1-1 hold edges P..
+    cells = np.zeros((b1 - b0) * B)
+    cells[P - b0 * B:] = lam ** s * cell_moments(s - 1.0, lam, dx, P, b1 * B, shift=theta)
+    sums = np.cumsum(cells.reshape(-1, B)[:, ::-1], axis=1)[:, ::-1]
+    anchors = upper_gamma(s, lam * dx * (B * np.arange(b0 + 1, b1 + 1) + theta))
+    return np.concatenate((direct, (anchors[:, None] + sums).ravel()[P - b0 * B:q0 + n - b0 * B]))
+
+
+@lru_cache(maxsize=128)
+def _k_nodes(orders, h, n):
+    """v t_k, cosh t_k - 1 and per order the weights h cosh(nu t_k) e^{-v t_k}
+    (halved at t = 0) at t_k = k h, k < n, v = max(orders); read-only, as
+    the cache hands them to every caller."""
+    t = h * np.arange(n)
+    v = max(orders)
+    nu = np.array(orders)[:, None]
+    w = 0.5 * h * (np.exp((nu - v) * t) + np.exp(-(nu + v) * t))
+    w[:, 0] *= 0.5
+    out = v * t, 2.0 * np.sinh(0.5 * t) ** 2, w[:, None, :]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _k_step(v, z):
+    """0.7/sqrt(8.2 + 1.5 v + max(z, 16)) rounded down to a power of sqrt(2),
+    so that the points of a call mostly share it."""
+    return 2.0 ** (math.floor(2.0 * math.log2(0.7 / math.sqrt(8.2 + 1.5 * v + max(z, 16.0))))
+                   / 2.0)
+
+
+def _k_rows(orders, z, scaled):
+    """e^z K_nu(z), or K_nu(z), one row per order (|nu|, largest v), at the
+    points z > 0 (1-D): the trapezoid rule on int_0^inf e^{v t - z (cosh t -
+    1)} [cosh(nu t) e^{-v t}] dt.  With the step of _k_step its error, about
+    the integral along Im t = a times e^{-2 pi a/h}, is below 2^-55 relative
+    (searched over v up to 86 and z from 1e-6 to 1e4; the step falls like
+    z^{-1/2} beyond).  Each point sums its nodes from t = 0 until its terms
+    underflow to 0, where z (cosh t - 1) >= 746 + v t, in numpy's pairwise
+    order over a multiple of 8 nodes up to 128, or a power of two beyond:
+    the zeros past its last term leave the bits alone, so a value does not
+    depend on the other points in the call.  Points of different steps, or
+    so spread that the smallest z takes over 128 nodes, are split.  Where
+    the integrand's peak, below e^{v asinh(v/z)}, passes e^700, the point's
+    terms are scaled by its inverse, so nothing overflows before the result."""
+    v = max(orders)
+    z_lo, z_hi = (float(z[0]),) * 2 if len(z) == 1 else (float(z.min()), float(z.max()))
+    if not z_lo > 0.0:
+        raise ValueError("bessel_k: requires z > 0")
+    h = _k_step(v, z_hi)
+    T = math.asinh(v / z_lo) + 1.0
+    for _ in range(4):
+        T = 2.0 * math.asinh(math.sqrt((746.0 + v * T) / (2.0 * z_lo)))
+    n = math.ceil(T / h) + 1
+    n = -(-n // 8) * 8 if n <= 128 else 1 << (n - 1).bit_length()
+    if _k_step(v, z_lo) != h or (n > 128 and z_hi > 2.0 * z_lo):
+        low = z < (0.7 / h) ** 2 / 2.0 - 8.2 - 1.5 * v    # coarser steps
+        if low.all() or not low.any():
+            low = z <= math.sqrt(z_lo * z_hi)
+        out = np.empty((len(orders), len(z)))
+        out[:, low] = _k_rows(orders, z[low], scaled)
+        out[:, ~low] = _k_rows(orders, z[~low], scaled)
+        return out
+    vt, q, w = _k_nodes(orders, h, n)
+    exponent = vt - np.multiply.outer(z, q)
+    shift = 0.0
+    if v * math.asinh(v / z_lo) > 700.0:
+        shift = v * np.arcsinh(v / z)
+        shift[shift <= 700.0] = 0.0
+        exponent -= shift[:, None]
+    elif scaled:
+        return (w * np.exp(exponent)).sum(axis=-1)
+    total = (w * np.exp(exponent)).sum(axis=-1)
+    # the scale in two halves, so that it overflows only where the result does
+    with np.errstate(over="ignore"):
+        half = np.exp(0.5 * (shift if scaled else shift - z))
+        return total * half * half
+
+
+def _bessel_k(nu, z, scaled):
+    z = np.asarray(z, dtype=float)
+    single = np.ndim(nu) == 0
+    orders = (abs(float(nu)),) if single else tuple(abs(float(x)) for x in nu)
+    out = _k_rows(orders, z.ravel(), scaled)
+    if z.ndim == 0:
+        return float(out[0, 0]) if single else out[:, 0]
+    out = out.reshape((len(orders),) + z.shape)
+    return out[0] if single else out
 
 
 def bessel_k(nu, z):
-    """Modified Bessel function of the second kind K_nu(z), z > 0.
-
-    Symmetric in nu (K_{-nu} = K_nu).  Accurate to ~1e-13 relative for
-    z in [1e-6, 700] and |nu| <= 50.
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
-        raise ValueError("bessel_k: requires z > 0")
-    out = _sp.kv(nu, z)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def struve_l(nu, z):
-    """Modified Struve function L_nu(z), z >= 0 (DLMF 11.2.2)."""
-    out = _sp.modstruve(nu, np.asarray(z, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-# scipy's kve returns nan from z = 2^30 on (the argument bound of its AMOS
-# routine); from 2^29 on, three terms of the large-argument expansion are
-# exact to rounding for |nu| up to about 100
-_KVE_ASYMPTOTIC = 2.0 ** 29
+    """Modified Bessel function of the second kind K_nu(z), z > 0, for an
+    order nu or a sequence of orders (one row each).  Symmetric in nu
+    (K_{-nu} = K_nu); accurate to ~1e-14 relative for z in [1e-6, 700] and
+    |nu| <= 41."""
+    return _bessel_k(nu, z, False)
 
 
 def bessel_k_scaled(nu, z):
-    """Exponentially scaled Bessel function e^z * K_nu(z), z > 0.
+    """e^z K_nu(z), z > 0, as bessel_k, without the underflow of K_nu itself
+    at large z; the far-lag rule of the noise autocovariances uses it."""
+    return _bessel_k(nu, z, True)
 
-    Avoids underflow of K_nu itself for large z; used by the far-lag rule
-    of the noise autocovariances.  For z >= 2^29 it is
-    sqrt(pi/2z) sum_k a_k(nu)/z^k to k = 2 (DLMF 10.40.2).
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
-        raise ValueError("bessel_k_scaled: requires z > 0")
-    out = _sp.kve(nu, z)
-    far = z >= _KVE_ASYMPTOTIC
-    if far.any():
-        m, q = 4.0 * np.square(nu), 0.125 / z
-        series = 1.0 + (m - 1.0) * q * (1.0 + (m - 9.0) * q / 2.0
-                                        * (1.0 + (m - 25.0) * q / 3.0))
-        out = np.where(far, np.sqrt(0.5 * np.pi / z) * series, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+
+def struve_l(nu, z):
+    """Modified Struve function L_nu(z), z >= 0, nu + 3/2 not a pole of
+    Gamma, by its series (z/2)^{nu+1} sum_k (z/2)^{2k} / (Gamma(k + 3/2)
+    Gamma(k + nu + 3/2)) (DLMF 11.2.2), whose terms share one sign past the
+    first; the library takes it below z = 40 + 2 nu."""
+    c = 1.0 / (0.5 * math.sqrt(math.pi) * math.gamma(nu + 1.5))
+
+    def one(x):
+        term = total = c
+        k = 0.5
+        while k < 1.0 or abs(term) > _EPS * abs(total):
+            k += 1.0
+            term *= 0.25 * x * x / (k * (k + nu))
+            total += term
+        return (0.5 * x) ** (nu + 1.0) * total
+    return _pointwise(one, z)

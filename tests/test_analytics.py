@@ -113,17 +113,19 @@ def test_variance_scale_consistency():
             assert abs(lhs / rhs - 1.0) < 1e-12
 
 
-def _ct_squared_mpmath(d, lam, t):
-    """C^2_{d,lam,t} = G(t)/t^{1+2d} from the closed form of G in the module
-    docstring, with digits to spare over the ~2 log10(1/(lam t)) that its
-    two terms cancel."""
+def _ct_squared_mpmath(d, lam, t, variance=False):
+    """C^2_{d,lam,t} = G(t)/t^{1+2d}, or with variance Var S^I(t) =
+    G(t)/Gamma(1+d)^2, from the closed form of G in the module docstring,
+    with digits to spare over the ~2 log10(1/(lam t)) that its two terms
+    cancel."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40 + max(0, int(-2.0 * (np.log10(lam) + np.log10(t))))):
         D, L, T = mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(t)
         nu = D + 0.5
         A = 2 * mpmath.gamma(1 + 2 * D) / (2 * L) ** (1 + 2 * D)
         B = 2 * mpmath.gamma(1 + D) / mpmath.sqrt(mpmath.pi) * (2 * L) ** -nu
-        return float((A - B * T ** nu * mpmath.besselk(nu, L * T)) / T ** (1 + 2 * D))
+        G = A - B * T ** nu * mpmath.besselk(nu, L * T)
+        return float(G / mpmath.gamma(1 + D) ** 2 if variance else G / T ** (1 + 2 * D))
 
 
 @pytest.mark.parametrize("d", [-0.499, 0.5 - 1e-7, 0.5 + 1e-7, 1.5 - 1e-6,
@@ -151,6 +153,38 @@ def test_ct_squared_where_lam_t_underflows():
     assert abs(ct_squared(p, 1e-100) / ref - 1.0) < 1e-13
     with pytest.raises(ToleranceError):
         cov_tflp1(TemperedParams(0.2, 1e-200), 1e-100, 1e-100)
+
+
+def test_type1_constants_in_logs_where_they_leave_double_range():
+    # A = 2 Gamma(1+2d)/(2 lam)^{1+2d} and the Gamma factors of the variance
+    # limit overflow or underflow by themselves here, though the results are
+    # doubles; their logs reach about 900, whose rounding of 2^-53 each
+    # leaves the results within 2e-13 relative
+    mpmath = pytest.importorskip("mpmath")
+    # (2 lam)^{1+2d} underflowed, a division by zero
+    for d, lam, t in ((1.3, 1e-100, 1.0), (10.0, 1e-20, 1e-40)):
+        ref = _ct_squared_mpmath(d, lam, t, variance=True)
+        assert abs(cov_tflp1(TemperedParams(d, lam), t, t) / ref - 1.0) < 2e-13, (d, lam)
+    # Gamma(201) overflowed
+    p = TemperedParams(100.0, 1.0)
+    with mpmath.workdps(40):
+        D = mpmath.mpf(100)
+        ref = float(2 * mpmath.gamma(1 + 2 * D) / (mpmath.gamma(1 + D) ** 2 * 2 ** (1 + 2 * D)))
+    assert abs(var_limit_tflp1(p) / ref - 1.0) < 2e-13
+    assert abs(ref - 0.0563) < 1e-4
+    # G itself is above 1e308 at both t; C^2 = G/t^{201} is not
+    for t in (5.0, 50.0):
+        assert abs(ct_squared(p, t) / _ct_squared_mpmath(100.0, 1.0, t) - 1.0) < 2e-13, t
+    # where the result itself leaves double range, a ToleranceError names it
+    # (cov2 raised an OverflowError with the bare text "(34, 'Numerical
+    # result out of range')")
+    for f in (lambda: cov_tflp1(TemperedParams(10.0, 1e-20), 1.0, 1.0),
+              lambda: cov_tflp2(TemperedParams(0.3, 1e300), 1.0, 1.0)):
+        with pytest.raises(ToleranceError, match="out of double range"):
+            f()
+    # past d = 119.5 G's integrand reaches beyond the last panel of its rule
+    with pytest.raises(ToleranceError, match="beyond 119.5"):
+        cov_tflp1(TemperedParams(150.0, 1.0), 1.0, 1.0)
 
 
 def test_cov_tflp1_smooth_where_the_integral_panels_shift():
@@ -561,14 +595,18 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # only the quadrature routes need scipy.integrate; they import it
     # on first call, which keeps it off the cold start of every command,
     # and the closed-form TFLP II covariance does not call them.  Every FFT
-    # is numpy's, so scipy.fft and scipy.signal stay unloaded as well
+    # is numpy's, so scipy.fft and scipy.signal stay unloaded as well, and
+    # the special functions are native, so no scipy module loads at all
+    # ("-" lists none)
     src = os.path.dirname(os.path.dirname(tflp.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    heavy = "[m in sys.modules for m in ('scipy.integrate', 'scipy.fft', 'scipy.signal')]"
+    heavy = ("[m in sys.modules for m in ('scipy.integrate', 'scipy.fft', 'scipy.signal')], "
+             "','.join(sorted(m for m in sys.modules if m.startswith('scipy'))) or '-'")
     code = f"import sys, tflp; print(*{heavy})"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["False"] * 3
+    assert out.stdout.split()[:3] == ["False"] * 3
+    assert out.stdout.split()[3:] == ["-"]
     code = ("import sys; from tflp.cli import main; "
             "codes = [main(['analytic', 'cov2', '--d', '0.3', '--lambda', '0.5', "
             "'--out', sys.argv[1] + '/cov2.csv']), "
@@ -577,4 +615,5 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          env=env, check=True, capture_output=True, text=True,
                          timeout=120)
-    assert out.stdout.split() == ["0", "0"] + ["False"] * 3
+    assert out.stdout.split()[:5] == ["0", "0"] + ["False"] * 3
+    assert out.stdout.split()[5:] == ["-"]

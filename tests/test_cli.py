@@ -13,10 +13,11 @@ from scipy.integrate import IntegrationWarning
 
 import tflp
 from tflp import cli, errors
+from tflp.calculus import frac_integral_minus
 from tflp.cli import main, read_csv
 from tflp.driver import (CompoundPoisson, TemperedStable, UniformSymmetric,
                          sample_increments, second_moment, spec_from_config)
-from tflp.grids import SampleGrid
+from tflp.grids import GridFunction, SampleGrid
 from tflp.integration import ElementaryFunction, transform_integrand
 from tflp.processes import TemperedParams, noise_path, simulate_tflp1, simulate_tflp2
 
@@ -177,50 +178,55 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
                 "--n", "8", "--driver", "tstable", "--lambda-noise", "1"]
     for argv, engine in (
             # every curve that takes G takes it by one positive integral
-            # (one more below)
+            # (one more below), and every curve that takes G, K or L takes
+            # them from the native special functions, with G's constant in
+            # logs (one more)
             (["analytic", "cov1", "--d", "0.3", "--lambda", "0.5",
-              "--range", "0.25:2:0.25"], 1),
+              "--range", "0.25:2:0.25"], 2),
             # cov2 has a new numerical route (engine 1): the closed-form covariance
             (["analytic", "cov2", "--d", "0.3", "--lambda", "0.5",
-              "--range", "0.25:2:0.25"], 2),
+              "--range", "0.25:2:0.25"], 3),
             # cov2 with d < 0 raised before, so it has no older bytes
             (["analytic", "cov2", "--d", "-0.3", "--lambda", "0.5",
-              "--range", "0.25:2:0.25"], 2),
+              "--range", "0.25:2:0.25"], 3),
+            # the variance limit takes its constants in logs
+            (["analytic", "varlimit", "--d", "0.3", "--lambda", "0.5"], 1),
             # acvf2 takes its far lags by the stencil rule (engine 2), and
-            # every lag past 1 (engine 4); with d < 0 it left a cut spectral
-            # inversion for the closed form (one more); the band is
-            # calibrated on its lags past 1
+            # every lag past 1 (engine 4), and the native K (engine 5); with
+            # d < 0 it left a cut spectral inversion for the closed form (one
+            # more); the band is calibrated on its lags past 1
             (["analytic", "acvf2", "--d", "0.3", "--lambda", "1",
-              "--range", "0:8:2"], 4),
-            (["analytic", "acvf2", "--d", "-0.3", "--lambda", "1",
               "--range", "0:8:2"], 5),
+            (["analytic", "acvf2", "--d", "-0.3", "--lambda", "1",
+              "--range", "0:8:2"], 6),
             (["analytic", "acvf2band", "--d", "0.3", "--lambda", "1",
-              "--range", "5:8:1"], 4),
-            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
               "--range", "5:8:1"], 5),
+            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
+              "--range", "5:8:1"], 6),
             # acvf1 drops the plateau from its far-lag differences (engine 1)
             # and takes them by the stencil rule (engine 2), then every lag
-            # past 1 (engine 4)
+            # past 1 (engine 4), with the native K (engine 5)
             (["analytic", "acvf1", "--d", "0.2", "--lambda", "1",
-              "--range", "0:60:10"], 4),
+              "--range", "0:60:10"], 5),
             # every simulate run convolves only the lags it reads (engine 1),
             # with the kernel cut below rounding and its far-lag constant
             # added through the cumulative increments (engine 2), and direct
             # sums over windows of the increments also when nothing is cut
             # (engine 3), and its kernel cells from series_start on take the
-            # series of cell_moments (engine 4)
-            ([*simulate[:10], "--driver", "gauss"], 4),
+            # series of cell_moments (engine 4), and the native incomplete
+            # gammas, type II's far edges as sums of cell moments (engine 5)
+            ([*simulate[:10], "--driver", "gauss"], 5),
             # drivers that draw compound-Poisson jumps count them once and
             # scatter them over the cells (one more)
-            (simulate[:10], 5),
-            ([*simulate, "--alpha", "1.4"], 5),
+            (simulate[:10], 6),
+            ([*simulate, "--alpha", "1.4"], 6),
             # tempered-stable drivers with alpha < 1 split their cells into
             # sub-increments instead (one more)
-            ([*simulate, "--alpha", "0.7"], 5),
+            ([*simulate, "--alpha", "0.7"], 6),
             # type II adds its far-lag constant through the cumulative
             # increments also when nothing is cut (one more)
-            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 6),
-            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 6),
+            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 7),
+            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 7),
             # verify suites that draw take the new compound-Poisson draws too
             (["verify", "isometry", "--n-draws", "200"], 1),
             (["verify", "isometry", "--n-draws", "200", "--driver", "tstable",
@@ -332,6 +338,20 @@ def test_type2_curves_out_of_double_range_exit_3(tmp_path, curve, lags):
     assert not out.exists()
 
 
+def test_calculus_kernel_overflow_exits_3(monkeypatch, capsys):
+    # at kappa = 200 on a 2^10-cell grid of width 50, u^199 e^{-u} of the
+    # kernel's cell moments passes 1e308 from u = 35 on; that ended in
+    # RuntimeWarnings and GridFunction's finiteness check, a ValueError
+    # (exit 2) for a numeric failure
+    def suite(cfg, table):
+        grid = SampleGrid(-25.0, 25.0, 2 ** 10)
+        frac_integral_minus(GridFunction.from_callable(grid, lambda x: np.exp(-x ** 2)),
+                            200.0, 1.0)
+    monkeypatch.setitem(cli._SUITES, "calculus", suite)
+    assert run(["verify", "calculus"]) == 3
+    assert "overflows double range" in capsys.readouterr().err
+
+
 def test_rerun_ignores_retired_verify_budget_key(tmp_path):
     # verify manifests once carried an unused "budget" key; runners read
     # only the keys they know, so such manifests still rerun
@@ -429,7 +449,7 @@ def test_sub_step_budget_bounds_time_on_short_grids(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, files, code", [
-    ("analytic varlimit --d 100 --lambda 1 --out {tmp}/x.csv", {}, 3),
+    ("analytic varlimit --d 100 --lambda 0.01 --out {tmp}/x.csv", {}, 3),
     ("analytic varlimit --d 0.3 --lambda 1e-300 --out {tmp}/x.csv", {}, 3),
     ("analytic cov1 --lambda 1 --range 0:3:1 --out {tmp}/x.csv", {}, 2),
     ("simulate tflp1 --d 0.3 --lambda 1 --tmax 1 --n 8 --out {tmp}/nodir/x.csv",

@@ -15,7 +15,7 @@ from tflp.integration import (
 from tflp.processes import (
     TemperedParams, kernel_g1, kernel_g2, simulate_tflp2, truncation_width,
 )
-from tflp.special import gamma_fn, lower_gamma, upper_gamma
+from tflp.special import gamma_fn, lower_gamma, upper_gamma, upper_gamma_on_grid
 
 CP = CompoundPoisson(intensity=2.0, jump_law=GaussianJumps(sigma=1.0))
 
@@ -70,35 +70,46 @@ def test_indicator_transform_reproduces_kernels():
         assert np.max(np.abs(tr.transformed.values - ref)) < 1e-3, (target, d)
 
 
+def _step_and_jumps():
+    """A grid, a step on it and the step's jumps (t_j, J_j): the step is
+    sum_j J_j 1{y < t_j}, J_j = a_{j-1} - a_j (a_{-1} = a_n = 0)."""
+    grid = SampleGrid(-20.0, 2.0, 2 ** 10)
+    step = ElementaryFunction((-0.5, 0.3, 1.1, 1.75), (1.0, -2.5, 0.75))
+    a = (0.0, *step.coefficients, 0.0)
+    return grid, step, [(t, a[j] - a[j + 1]) for j, t in enumerate(step.breakpoints)]
+
+
 def test_transform_terms_bit_identical_to_reference():
     # each regime's formula written out per route, with the subtraction
     # order of the displays; the term table must reproduce it bit for bit.
-    # The step is sum_j J_j 1{y < t_j}, J_j = a_{j-1} - a_j (a_{-1} = a_n = 0)
+    # The upper incomplete gammas of lam (t - y) at the points y < t, which
+    # sit at t - y = (i + theta) dx, come from upper_gamma_on_grid, as in the
+    # transform; the next test checks them against lower_gamma and
+    # upper_gamma
     lam = 1.3
-    grid = SampleGrid(-20.0, 2.0, 2 ** 10)
+    grid, step, jumps = _step_and_jumps()
     y = grid.points
-    step = ElementaryFunction((-0.5, 0.3, 1.1, 1.75), (1.0, -2.5, 0.75))
-    a = (0.0, *step.coefficients, 0.0)
-    jumps = [(t, a[j] - a[j + 1]) for j, t in enumerate(step.breakpoints)]
     gauss = GridFunction.from_callable(grid, lambda x: np.exp(-(x - 0.5) ** 2))
     I, D = frac_integral_minus, frac_derivative_minus
 
-    def I_step(kappa):
-        # I 1{y < t} = lam^-kappa gamma_lower(kappa, lam (t - y)_+) / Gamma(kappa)
-        total = 0
+    def tail(s):
+        # sum_{t_j > y} J_j G(s, lam (t_j - y))
+        out = np.zeros_like(y)
         for t, J in jumps:
-            total = total + J * lower_gamma(kappa, lam * np.maximum(t - y, 0.0))
-        return total / (gamma_fn(kappa) * lam ** kappa)
+            k = np.searchsorted(y, t)
+            out[:k] += J * upper_gamma_on_grid(s, lam, grid.dx, (t - y[k - 1]) / grid.dx, k)[::-1]
+        return out
+
+    def I_step(kappa):
+        # I 1{y < t} = lam^-kappa gamma_lower(kappa, lam (t - y)_+) / Gamma(kappa),
+        # so I f = lam^-kappa f - lam^-kappa / Gamma(kappa) tail(kappa)
+        return lam ** -kappa * step(y) - lam ** -kappa / gamma_fn(kappa) * tail(kappa)
 
     def D_step(kappa):
         # lam^kappa f + (kappa/Gamma(1-kappa)) lam^kappa
         #   * sum_{t_j > y} J_j G(-kappa, lam (t_j - y))
-        tail = np.zeros_like(y)
-        for t, J in jumps:
-            ahead = y < t
-            tail[ahead] += J * upper_gamma(-kappa, lam * (t - y[ahead]))
         return (lam ** kappa * step(y)
-                + kappa / gamma_fn(1.0 - kappa) * lam ** kappa * tail)
+                + kappa / gamma_fn(1.0 - kappa) * lam ** kappa * tail(-kappa))
 
     for target, d, regime in (("TFLP2", 0.3, "A1"), ("TFLP2", -0.3, "A2"),
                               ("TFLP1", -0.3, "A3"), ("TFLP1", 0.3, "A4")):
@@ -123,6 +134,30 @@ def test_transform_terms_bit_identical_to_reference():
             assert tr.transformed.grid == grid
             np.testing.assert_array_equal(tr.transformed.values, ref)
             assert tr.norm == float(np.sqrt(np.sum(ref[:-1] ** 2) * grid.dx))
+
+
+@pytest.mark.parametrize("lam, n", [(1.3, 2 ** 10), (0.1, 2 ** 13)])
+def test_step_transform_matches_pointwise_incomplete_gammas(lam, n):
+    # the transform takes each jump's upper incomplete gammas from direct
+    # values at anchors plus sums of cell moments over blocks of up to 1024 cells;
+    # against lower_gamma and upper_gamma at every 8th point it is off by at
+    # most the rounding of such a sum, 1024 units of 2^-53 of max |F|
+    _, step, jumps = _step_and_jumps()
+    grid = SampleGrid(-60.0, 2.0, n)
+    y = grid.points[::8]
+    for kappa in (0.05, 0.3, 0.7, 1.3):
+        ref = sum(J * lower_gamma(kappa, lam * np.maximum(t - y, 0.0))
+                  for t, J in jumps) / (gamma_fn(kappa) * lam ** kappa)
+        got = integration._step_transform(step, "I", kappa, lam, grid)[::8]
+        assert np.max(np.abs(got - ref)) <= 1024 * 2.0 ** -53 * np.max(np.abs(ref)), kappa
+        if kappa < 1.0:
+            tail = np.zeros_like(y)
+            for t, J in jumps:
+                ahead = y < t
+                tail[ahead] += J * upper_gamma(-kappa, lam * (t - y[ahead]))
+            ref = lam ** kappa * step(y) + kappa / gamma_fn(1.0 - kappa) * lam ** kappa * tail
+            got = integration._step_transform(step, "D", kappa, lam, grid)[::8]
+            assert np.max(np.abs(got - ref)) <= 1024 * 2.0 ** -53 * np.max(np.abs(ref)), kappa
 
 
 def test_closed_form_matches_grid_operator_route():

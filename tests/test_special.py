@@ -1,4 +1,4 @@
-"""Gamma and modified Bessel function wrappers."""
+"""Gamma, incomplete gamma, modified Bessel and Struve functions."""
 
 import math
 
@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from tflp.errors import ParameterError
 from tflp.special import (_SERIES_TERMS, _series_bound, bessel_k, bessel_k_scaled,
-                          cell_moments, gamma_fn, series_start, struve_l,
+                          cell_moments, gamma_fn, lower_gamma, series_start, struve_l,
                           upper_gamma)
 
 
@@ -78,8 +78,8 @@ def test_bessel_k_scaled_consistency():
 
 
 def test_bessel_k_scaled_at_large_arguments_against_mpmath():
-    # scipy's kve returns nan from z = 2^30 on; the asymptotic branch takes
-    # over from 2^29, where both forms must agree
+    # the trapezoid step shrinks like z^{-1/2} from z = 2^29 on as below it,
+    # and a point's value does not depend on the others in the call
     mpmath = pytest.importorskip("mpmath")
     for nu in (0.3, -1.7, 5.5, 40.2):
         zs = np.array([1e8, 2.0 ** 29 * (1 - 1e-12), 2.0 ** 29, 2.0 ** 30,
@@ -136,3 +136,95 @@ def test_cell_moments_within_stated_bound_of_mpmath(a):
                     continue
                 assert abs(got - ref) <= tol * ref, (h, p, theta)
 
+
+
+# the ranges the library calls the native functions over, against 40-digit
+# mpmath values computed once per module
+_GAMMA_S = (-1.9, -1.5, -1.0, -0.7, -0.3, 0.0, 0.01, 0.3, 0.5, 1.0, 1.3, 2.5, 7.0,
+            20.5, 40.5, 86.5)
+_GAMMA_X = (1e-8, 1e-3, 0.1, 0.5, 0.99, 1.0, 1.5, 3.0, 10.0, 30.0, 100.0, 300.0, 700.0)
+_K_NU = (0.0, 0.3, -0.7, 1.5, 3.7, 12.2, 25.5, -40.9)
+_K_Z = (1e-6, 1e-3, 0.1, 1.0, 5.0, 30.0, 700.0, 1e4, 1e8, 1e15, 1e300)
+_L_NU = (-1.45, -1.3, -0.95, -0.45, 0.0, 0.7, 2.3, 10.0, 40.0, 84.5)
+_L_Z = (1e-6, 1e-3, 0.5, 4.0, 30.0)
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    mpmath = pytest.importorskip("mpmath")
+    out = {"gamma": [], "k": [], "l": []}
+    with mpmath.workdps(40):
+        for s in _GAMMA_S:
+            near = (s - 1.0, s, s + 0.99, s + 1.0, s + 2.0, 2.0 * s) if s > 2 else ()
+            for x in sorted(set(_GAMMA_X + near)):
+                upper = mpmath.gammainc(s, x)
+                if upper < 1e-300:
+                    continue
+                # Gamma(s+1, x) and x^s e^-x, whose difference over s is
+                # Gamma(s, x) below x = 1 for s < 0
+                parts = (mpmath.gammainc(s + 1, x) + x ** s * mpmath.exp(-x)) / abs(s) \
+                    if s < 0 else 0
+                out["gamma"].append((s, x, float(upper), float(parts / upper),
+                                     float(mpmath.gammainc(s, 0, x)) if s > 0 else None,
+                                     float(mpmath.gamma(s)) if s > 0 else None))
+        for nu in _K_NU:
+            for z in _K_Z:
+                out["k"].append((nu, z, float(mpmath.besselk(nu, z) * mpmath.exp(z)),
+                                 float(mpmath.besselk(nu, z))))
+        for nu in _L_NU:
+            for z in sorted(set(_L_Z + (0.999 * (40.0 + 2.0 * nu),))):
+                first = (mpmath.mpf(z) / 2) ** (nu + 1) / (mpmath.gamma(1.5) * mpmath.gamma(nu + 1.5))
+                value = mpmath.struvel(nu, z)
+                if 0 < z < 40.0 + 2.0 * nu and abs(value) > 1e-300:
+                    # the terms share one sign past the first
+                    out["l"].append((nu, z, float(value),
+                                     float((abs(value) + 2 * max(-first, 0)) / abs(value))))
+    return out
+
+
+def test_incomplete_gammas_within_stated_bound_of_mpmath(oracle):
+    # the series and the continued fraction are good to a few units of 2^-53
+    # times the log of x^s e^-x, |s ln x| + x, and 50; where one function is
+    # taken as Gamma(s) minus the other, that is scaled by Gamma(s) over it,
+    # and below x = 1 for s < 0 by the recurrence's (Gamma(s+1, x) + x^s
+    # e^-x) / |s Gamma(s, x)|: 2^-51 of the product bounds them all.  E_1 is
+    # the row s = 0 and its series' -gamma - ln x - sum
+    for s, x, upper, rec, lower, gamma in oracle["gamma"]:
+        base = 2.0 ** -51 * (abs(s * math.log(x)) + x + 50.0)
+        if s == 0.0 and x < 1.0:
+            base *= (0.5773 + abs(math.log(x)) + math.expm1(x)) / upper
+        cond = gamma / upper if s > 0 and x < s + 1.0 else max(rec, 1.0)
+        assert abs(upper_gamma(s, x) / upper - 1.0) <= base * cond, (s, x)
+        if s > 0 and lower > 1e-300:
+            cond = gamma / lower if x >= s + 1.0 else 1.0
+            assert abs(lower_gamma(s, x) / lower - 1.0) <= base * cond, (s, x)
+            # P and Q, the regularized pair
+            assert abs(lower_gamma(s, x) / gamma + upper_gamma(s, x) / gamma - 1.0) \
+                <= 2.0 * base * max(upper, lower) / gamma, (s, x)
+
+
+def test_bessel_k_within_stated_bound_of_mpmath(oracle):
+    # the trapezoid rule is within 2^-55 for the step it takes; what is left
+    # is the rounding of its terms' exponents, up to |nu| asinh(|nu|/z) at
+    # the integrand's peak, and of their sum: 2^-52 (50 + |nu| asinh(|nu|/z))
+    for nu, z, scaled, plain in oracle["k"]:
+        tol = 2.0 ** -52 * (50.0 + abs(nu) * math.asinh(abs(nu) / z))
+        assert abs(bessel_k_scaled(nu, z) / scaled - 1.0) <= tol, (nu, z)
+        if plain > 1e-300:
+            assert abs(bessel_k(nu, z) / plain - 1.0) <= tol, (nu, z)
+    # two orders in one call, as the library takes them, on the same bound
+    zs = np.array(_K_Z[:7])
+    for nu in (0.3, 12.2):
+        pair = bessel_k_scaled((nu, nu - 1.0), zs)
+        for k, order in enumerate((nu, nu - 1.0)):
+            tol = 2.0 ** -52 * (50.0 + nu * np.arcsinh(nu / zs))
+            np.testing.assert_array_less(np.abs(pair[k] / bessel_k_scaled(order, zs) - 1.0),
+                                         2.0 * tol)
+
+
+def test_struve_l_within_stated_bound_of_mpmath(oracle):
+    # below z = 40 + 2 nu the series sums about z/2 + 20 terms, each with a
+    # few roundings: 2^-52 (20 + z), times the cancellation of the first term
+    # against the rest where it is negative (nu + 3/2 < 0)
+    for nu, z, value, cond in oracle["l"]:
+        assert abs(struve_l(nu, z) / value - 1.0) <= 2.0 ** -52 * (20.0 + z) * cond, (nu, z)
