@@ -81,7 +81,7 @@ __all__ = [
     "structure_function", "structure_exponent",
 ]
 
-_SQRT_PI = np.sqrt(np.pi)
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LN2 = math.log(2.0)
 # e^x is a normal double between these x
 _LOG_TINY, _LOG_HUGE = -708.0, 709.78
@@ -154,12 +154,12 @@ def _big_g(d: float, lam: float, t: float, log_scale: float = 0.0) -> float:
     return _times_exp(log_a + log_scale, ratio, f"G at lam = {lam:g}, t = {t:g}")
 
 
-def _times_exp(log_scale: float, x: float, what: str) -> float:
-    """x e^{log_scale} for x > 0, by powers of two so that no factor
-    overflows; ToleranceError naming what where the result leaves the
-    normal double range."""
-    log_out = log_scale + math.log(x)
-    if not _LOG_TINY < log_out < _LOG_HUGE:
+def _times_exp(log_scale: float, x: float, what: str, flush: bool = False) -> float:
+    """x e^{log_scale}, by powers of two so that no factor overflows;
+    ToleranceError naming what where the result leaves the normal double
+    range, or with flush only above it (below, it rounds to 0 or a subnormal)."""
+    log_out = log_scale + math.log(abs(x)) if x else -math.inf
+    if log_out >= _LOG_HUGE or (log_out <= _LOG_TINY and not flush):
         raise ToleranceError(f"{what} is e^{log_out:.6g}, out of double range")
     n = round(log_scale / _LN2)
     return math.ldexp(math.exp(log_scale - n * _LN2) * x, n)
@@ -270,11 +270,11 @@ def _far_second_difference(lam: float, h: float, d: float, g) -> float:
 _LAM_FLOOR = 1e-130
 
 
-def _second_difference(lam: float, h: float, d: float, f, c: float, g) -> float:
+def _second_difference(lam: float, h: float, d: float, f, log_c: float, g) -> float:
     """f(|h|+1) - 2 f(|h|) + f(|h|-1) of a noise acvf (module docstring),
-    with f'' = c lam^2 e^{-z} g(z), z = lam t: by the stencil rule wherever
-    lam (|h|-1) > 0, by differencing f for |h| <= 1 and where lam (|h|-1)
-    is as good as 0, below 1e-150, where g, about z^{-2}, nears overflow.
+    with f'' = e^{log_c} lam^2 e^{-z} g(z), z = lam t: by the stencil rule
+    (times e^{log_c} by _times_exp) wherever lam (|h|-1) > 0, by differencing
+    f for |h| <= 1 and where lam (|h|-1) is below 1e-150, where g nears overflow.
 
     From lam = _LAM_FLOOR on, every lag |h| > 1 takes the stencil rule, with
     weights of order lam^2 >= 1e-260.  Below it, lags |h| <= 2 stay exact
@@ -287,7 +287,8 @@ def _second_difference(lam: float, h: float, d: float, f, c: float, g) -> float:
         raise ToleranceError(f"acvf: lag {h:g} at lambda = {lam:g}, below the floor "
                              f"{_LAM_FLOOR:g}, is out of double range")
     if lam * (h - 1.0) > 1e-150:
-        return c * _far_second_difference(lam, h, d, g)
+        return _times_exp(log_c, _far_second_difference(lam, h, d, g),
+                          f"acvf at lag {h:g}, lambda = {lam:g}", flush=True)
     return f(h + 1.0) - 2.0 * f(h) + f(h - 1.0)
 
 
@@ -295,16 +296,16 @@ def acvf_tfln1(params: TemperedParams, h: float, EL2: float = 1.0) -> float:
     """Autocovariance of the unit-lag type I noise: the second difference
     of G / (2 Gamma(1+d)^2)."""
     d, lam = params.d, params.lam
-    g = gamma_fn(1.0 + d)
     nu = d + 0.5
-    # G = A - B lam^{-nu} z^nu K_nu(z), z = lam t, so G''(t) = -B lam^{2-nu}
-    # e^{-z} g2(z) (DLMF 10.29.4), B = 2 Gamma(1+d) (2 lam)^{-nu} / sqrt(pi)
-    c = -2.0 * g * 2.0 ** -nu * lam ** (-2.0 * nu) / _SQRT_PI
+    # G = A - B lam^{-nu} z^nu K_nu(z), z = lam t, so G''(t) = B lam^{2-nu} e^{-z}
+    # g2(z) (DLMF 10.29.4), B = 2 Gamma(1+d) (2 lam)^{-nu} / sqrt(pi); over 2 Gamma(1+d)^2
+    log_g = math.lgamma(1.0 + d)
+    log_c = -nu * _LN2 - 2.0 * nu * math.log(lam) - log_g - _LOG_SQRT_PI
     def g2(z):
         k2, k1 = bessel_k_scaled((nu - 2.0, nu - 1.0), z)
-        return z ** (nu - 1.0) * (z * k2 - k1)
-    return EL2 / (2.0 * g * g) * _second_difference(
-        lam, h, d, lambda t: _big_g(d, lam, t), c, g2)
+        return z ** (nu - 1.0) * (k1 - z * k2)
+    return EL2 * _second_difference(
+        lam, h, d, lambda t: _big_g(d, lam, t, -_LN2 - 2.0 * log_g), log_c, g2)
 
 
 def acvf_tfln1_asymptotic(params: TemperedParams, h: float, EL2: float = 1.0) -> float:
@@ -355,10 +356,10 @@ def _acvf_tfln2_bessel(params: TemperedParams, h: float) -> float:
     d, lam = params.d, params.lam
     mu = d - 0.5
     # (K H)'' = K x^mu K_mu(lam x) = K lam^{-mu} z^mu K_mu(z), z = lam x:
-    # c = K lam^{-mu-2}, K = 1/(sqrt(pi) Gamma(d) (2 lam)^mu)
-    c = 2.0 ** -mu * lam ** (-1.0 - 2.0 * d) / (_SQRT_PI * gamma_fn(d))
-    return _second_difference(lam, h, d, lambda x: _big_h(d, lam, x), c,
-                              lambda z: z ** mu * bessel_k_scaled(mu, z))
+    # |K| lam^{-mu-2}, K = 1/(sqrt(pi) Gamma(d) (2 lam)^mu); g takes sign(Gamma(d)) = sign(d)
+    log_c = -mu * _LN2 - (1.0 + 2.0 * d) * math.log(lam) - _LOG_SQRT_PI - math.lgamma(d)
+    return _second_difference(lam, h, d, lambda x: _big_h(d, lam, x), log_c,
+                              lambda z: np.copysign(z ** mu, d) * bessel_k_scaled(mu, z))
 
 
 def _acvf_tfln2_fourier(params: TemperedParams, h: float) -> float:

@@ -9,13 +9,10 @@ u^{-kappa-1} e^{-lambda u} du.  Both are discretized by product
 integration: within every cell the power-law factor is integrated
 exactly against a linear interpolant of f, which keeps accuracy at the
 integrable kernel singularity.  The kernel's cell moments, int k and
-int theta k over [p dx, (p+1) dx] with theta = u/dx - p, come from
-special.cell_moments, a series in 1/p with nothing to cancel, from the
-cell series_start on (at most 12 cells for kappa < 3); the cells
-before are differences of incomplete gammas at their edges.  The
-Marchaud tail masses int_{p dx}^inf are suffix sums of the cell moments.
-Differencing incomplete gammas at every edge instead would lose about
-log10(1/(lam dx)) digits.
+int theta k over [p dx, (p+1) dx] with theta = u/dx - p, all come from
+special.cell_moments, whose docstring states their rule and the digits
+it loses.  The Marchaud tail masses int_{p dx}^inf are suffix sums of
+the cell moments from one upper incomplete gamma at the last edge.
 
 Conventions (documented contracts):
   * the integral operators treat f as zero outside its grid;
@@ -38,7 +35,7 @@ from numpy.fft import irfft, rfft
 
 from .errors import ToleranceError
 from .grids import GridFunction, next_fast_len
-from .special import cell_moments, gamma_fn, lower_gamma, series_start, upper_gamma
+from .special import cell_moments, gamma_fn, upper_gamma
 
 __all__ = [
     "frac_integral_minus", "frac_integral_plus",
@@ -81,23 +78,15 @@ def frac_integral_minus(f: GridFunction, kappa: float, lam: float) -> GridFuncti
     n = f.grid.n_cells
     dx = f.grid.dx
     # cells [p dx, (p+1) dx], p = 0..n, k = u^{kappa-1} e^{-lam u}/Gamma(kappa):
-    # M0 = int k(u) du and B = int theta k(u) du, theta = u/dx - p
-    P = min(series_start(kappa - 1.0), n + 1)
-    # the series first: it raises where the kernel leaves double range
-    far = cell_moments(kappa - 1.0, lam, dx, P, n + 1)
-    far_theta = cell_moments(kappa - 1.0, lam, dx, P, n + 1, theta=1)
-    scale = 1.0 / gamma_fn(kappa)
-    edges = lam * dx * np.arange(P + 1)
-    M0 = lam ** -kappa * np.diff(lower_gamma(kappa, edges))
-    M1 = lam ** -kappa / lam * np.diff(lower_gamma(kappa + 1.0, edges))
-    B = (M1 - dx * np.arange(P) * M0) * scale / dx
-    M0 = np.concatenate((M0 * scale, scale * far))
-    B = np.concatenate((B, scale * far_theta))
+    # M0 = int k(u) du and B = int theta k(u) du, theta = u/dx - p, before
+    # 1/Gamma(kappa), as they raise where the kernel leaves double range first
+    M0 = cell_moments(kappa - 1.0, lam, dx, 0, n + 1)
+    B = cell_moments(kappa - 1.0, lam, dx, 0, n + 1, theta=1)
     # hat-function weights: node p collects the theta part of cell p-1 and
     # the (1-theta) part of cell p
     w = M0 - B
     w[1:] += B[:-1]
-    out = _correlate(w, f.values, n)
+    out = _correlate(w / gamma_fn(kappa), f.values, n)
     return GridFunction(f.grid, out)
 
 
@@ -110,19 +99,12 @@ def frac_integral_plus(f: GridFunction, kappa: float, lam: float) -> GridFunctio
 def _marchaud_moments(kappa, lam, dx, n):
     """Moments of u^{-kappa-1} e^{-lam u} over the cells p = 1..n, N0 = int
     and B = int theta, theta = u/dx - p, and the tail masses T0 = int_{p dx}^inf
-    at the edges p = 1..n+1.  Cells from series_start(-kappa-1) on take
-    cell_moments; the ones before, differences of lam^kappa Gamma(-kappa, x)
-    and lam^(kappa-1) Gamma(1-kappa, x) at their edges.  T0 is the suffix sums
-    of N0 from the last edge's lam^kappa Gamma(-kappa, x)."""
-    P = min(series_start(-kappa - 1.0), n + 1)
-    x = lam * dx * np.append(np.arange(1, P + 1), n + 1)     # edges 1..P and n+1
-    T0 = lam ** kappa * upper_gamma(-kappa, x)
-    N0 = -np.diff(T0[:-1])
-    N1 = -lam ** (kappa - 1.0) * np.diff(upper_gamma(1.0 - kappa, x[:-1]))
-    B = (N1 - dx * np.arange(1, P) * N0) / dx
-    N0 = np.concatenate((N0, cell_moments(-kappa - 1.0, lam, dx, P, n + 1)))
-    B = np.concatenate((B, cell_moments(-kappa - 1.0, lam, dx, P, n + 1, theta=1)))
-    return N0, B, np.cumsum(np.append(T0[-1], N0[::-1]))[::-1]
+    at the edges p = 1..n+1: the suffix sums of N0 from the last edge's
+    lam^kappa Gamma(-kappa, lam (n+1) dx)."""
+    N0 = cell_moments(-kappa - 1.0, lam, dx, 1, n + 1)
+    B = cell_moments(-kappa - 1.0, lam, dx, 1, n + 1, theta=1)
+    last = lam ** kappa * upper_gamma(-kappa, lam * dx * (n + 1.0))
+    return N0, B, np.cumsum(np.append(last, N0[::-1]))[::-1]
 
 
 def frac_derivative_minus(f: GridFunction, kappa: float, lam: float) -> GridFunction:
@@ -139,7 +121,7 @@ def frac_derivative_minus(f: GridFunction, kappa: float, lam: float) -> GridFunc
     N0, B, T0 = _marchaud_moments(kappa, lam, dx, n)
     A = N0 - B
     # first cell: f(y) - f(y+u) ~ -slope*u, int_0^dx u^{-kappa} e^{-lam u} du
-    N1_0 = lam ** (kappa - 1.0) * lower_gamma(1.0 - kappa, lam * dx)
+    N1_0 = cell_moments(-kappa, lam, dx, 0, 1)[0]
     v = np.zeros(n + 1)
     v[1] = N1_0 / dx + A[0]
     v[2:] = B[:-1] + A[1:]

@@ -106,7 +106,7 @@ def _engine(command, config):
     """Version of the numerical route behind a run's bytes; manifests record
     it only when it is not 0, so those of unchanged routes keep their bytes.
     analytic: per curve, as in _CURVES (varlimit 1), 1 more for acvf2 and
-    acvf2band with d < 0.  simulate: 5, 1 more for type II.  simulate and
+    acvf2band with d < 0.  simulate: 6, 1 more for type II.  simulate and
     verify: 1 more for a tempered-stable driver with alpha < 1 (split
     cells); simulate and the verify suites that draw (isometry, all): 1 more
     for a driver that draws compound-Poisson jumps (cpois, or tstable with
@@ -121,7 +121,7 @@ def _engine(command, config):
     split = driver == "tstable" and config["alpha"] < 1.0
     jumps = driver == "cpois" or (driver == "tstable" and not split)
     draws = simulate or config.get("suite") in ("isometry", "all")
-    return (5 * simulate + int(simulate and config["kind"].endswith("2"))
+    return (6 * simulate + int(simulate and config["kind"].endswith("2"))
             + int(split) + int(jumps and draws))
 
 
@@ -222,15 +222,15 @@ _CURVES = {
              lambda p, t, el2: [analytics.cov_tflp1(p, t, t, el2)]),
     "cov2": (3, "0.25:5:0.25", ["t", "variance"], ["time", "value^2"],
              lambda p, t, el2: [analytics.cov_tflp2(p, t, t, el2)]),
-    "acvf1": (5, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf1": (6, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln1(p, h, el2)]),
-    "acvf2": (5, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
+    "acvf2": (6, "0:50:1", ["h", "gamma"], ["lag", "value^2"],
               lambda p, h, el2: [analytics.acvf_tfln2(p, h, el2)]),
     "spec1": (0, "0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
               lambda p, w, el2: [el2 * analytics.spec_density_tfln1(p, w)]),
     "spec2": (0, "0:3.141:0.01", ["omega", "power"], ["rad/step", "value^2*step"],
               lambda p, w, el2: [el2 * analytics.spec_density_tfln2(p, w)]),
-    "acvf2band": (5, "1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
+    "acvf2band": (6, "1:50:1", ["h", "lower", "upper"], ["lag", "value^2", "value^2"],
                   lambda p, h, el2: [el2 * b for b in
                                      analytics.acvf_tfln2_asymptotic_band(p, h)]),
 }

@@ -64,8 +64,7 @@ from numpy.fft import irfft, rfft
 from .driver import LevyDriverSpec, sample_increments
 from .errors import check_budget
 from .grids import SampleGrid, SamplePath, next_fast_len
-from .special import (cell_moments, gamma_fn, lower_gamma, series_start, upper_gamma,
-                      upper_gamma_on_grid)
+from .special import cell_moments, gamma_fn, lower_gamma, upper_gamma_on_grid
 
 __all__ = [
     "TemperedParams",
@@ -104,12 +103,6 @@ def _w(u, d, lam):
     return out
 
 
-def _w_antideriv(u, d, lam):
-    """W(u) = int_0^{u_+} v^d e^{-lam v} dv = lam^{-d-1} gamma_lower(d+1, lam u_+)."""
-    u = np.asarray(u, dtype=float)
-    return lam ** (-d - 1.0) * lower_gamma(d + 1.0, lam * np.maximum(u, 0.0))
-
-
 def kernel_g1(params: TemperedParams, t, x):
     """Type I moving average kernel g1(t, x), before the 1/Gamma(1+d) factor."""
     x = np.asarray(x, dtype=float)
@@ -130,7 +123,7 @@ def kernel_g2(params: TemperedParams, t, y):
     y = np.asarray(y, dtype=float)
 
     def G2(u):
-        return _w(u, d, lam) + lam * _w_antideriv(u, d, lam)
+        return _w(u, d, lam) + lam ** -d * lower_gamma(d + 1.0, lam * np.maximum(u, 0.0))
 
     out = G2(float(t) - y) - G2(-y)
     return float(out) if out.ndim == 0 else out
@@ -157,48 +150,20 @@ def _cell_averages(kind, d, lam, dx, start, stop, smooth=False):
     Gamma(1+d)).  The weights are the cell averages of G, or with smooth the
     means (G(p dx) + G((p+1) dx)) / 2 of its edge values.
 
-    From the cell P = series_start(a) on (a = d for type I, d - 1 for type
-    II), the averages take special.cell_moments, a series with nothing to
-    cancel: type I is int_cell w / dx, and type II, G - c = -d lam^{-d}
-    Gamma(d, lam u), by int_x^{x+h} Gamma(d, t) dt = int_x^{x+h} (v - x)
-    v^{d-1} e^{-v} dv + h Gamma(d, x + h), the theta-moment of u^{d-1}
-    e^{-lam u} plus the upper gamma at the cell's right edge.  The cells
-    before P are differences of an antiderivative at the cell edges.  Near
-    the origin (lam u < 1/2) these are the growing W, w + lam W and
-    int_0^u W = u W(u) - lam^{-d-2} gamma_lower(d+2, lam u); beyond, the
-    ones that decay with the lag: W - W(inf) = -lam^{-d-1} Gamma(d+1, lam
-    u), w + lam W - c = -d lam^{-d} Gamma(d, lam u), and its integral by
-    int Gamma(d, lam u) du = u Gamma(d, lam u) - Gamma(d+1, lam u) / lam =
-    ((lam u - d) Gamma(d, lam u) - (lam u)^d e^{-lam u}) / lam.  A
-    difference loses about log10(max(p, 1 / (lam dx))) digits, and the
-    decaying forms hold only where 1 / (lam dx) <= 2 p, so under log10(2 P).
-    The edge values of type II take G - c from the same two forms, with
-    Gamma(d, lam u) beyond lam u = 1/2 from special.upper_gamma_on_grid."""
-    edges = dx * np.arange(start, stop + 1)
-    if smooth and kind == "TFLP1":
-        G = _w(edges, d, lam)
-        return 0.0, 0.5 * (G[1:] + G[:-1])
-    series = stop if smooth else min(max(series_start(d if kind == "TFLP1" else d - 1.0),
-                                         start), stop)
-    split = min(max(int(np.ceil(0.5 / (lam * dx))), start), series) - start
-    u, x = edges[:split + 1], lam * edges[split:series - start + 1]
-    if kind == "TFLP1":
-        near = np.diff(_w_antideriv(u, d, lam)) / dx
-        far = -lam ** (-d - 1.0) * upper_gamma(d + 1.0, x)
-        return 0.0, np.concatenate((near, np.diff(far) / dx,
-                                    cell_moments(d, lam, dx, series, stop) / dx))
-    c = lam ** -d * gamma_fn(1.0 + d)
-    W = _w_antideriv(u, d, lam)
-    gamma_d = upper_gamma_on_grid(d, lam, dx, start + split, stop - start - split + 1)
+    Type I cells are special.cell_moments(d) / dx.  Type II has G - c = -d
+    lam^{-d} Gamma(d, lam u) (special.upper_gamma_on_grid at the edges), so
+    by int_x^{x+h} Gamma(d, t) dt = int_x^{x+h} (v - x) v^{d-1} e^{-v} dv +
+    h Gamma(d, x + h) a cell is -d times cell_moments(d - 1, theta=1) plus
+    lam^{-d} Gamma(d, .) at its right edge: two positive terms."""
+    c = 0.0 if kind == "TFLP1" else lam ** -d * gamma_fn(1.0 + d)
     if smooth:
-        G = np.concatenate(((_w(u, d, lam) + lam * W - c)[:-1], -d * lam ** -d * gamma_d))
+        G = (_w(dx * np.arange(start, stop + 1), d, lam) if kind == "TFLP1" else
+             -d * lam ** -d * upper_gamma_on_grid(d, lam, dx, start, stop - start + 1))
         return c, 0.5 * (G[1:] + G[:-1])
-    WW = u * W - lam ** (-d - 2.0) * lower_gamma(d + 2.0, lam * u)
-    near = np.diff(W) / dx + lam * np.diff(WW) / dx - c
-    far = -d * lam ** (-d - 1.0) * ((x - d) * gamma_d[:len(x)] - x ** d * np.exp(-x))
-    tail = -d * (cell_moments(d - 1.0, lam, dx, series, stop, theta=1)
-                 + lam ** -d * gamma_d[len(x):])
-    return c, np.concatenate((near, np.diff(far) / dx, tail))
+    if kind == "TFLP1":
+        return c, cell_moments(d, lam, dx, start, stop) / dx
+    return c, -d * (cell_moments(d - 1.0, lam, dx, start, stop, theta=1)
+                    + lam ** -d * upper_gamma_on_grid(d, lam, dx, start + 1, stop - start))
 
 
 def _kernel_cells(kind, params, dt, n, smooth=False):

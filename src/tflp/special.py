@@ -8,10 +8,8 @@ is the trapezoid rule on DLMF 10.32.9, which converges exponentially
 series (DLMF 11.2.2).  A slow quadrature form of K_nu is kept in the test
 suite as an independent oracle.
 
-cell_moments integrates u^a e^{-lam u} over the cells [p dx, (p+1) dx]
-from p = series_start(a) on by a short series in 1/p, in place of a
-difference of incomplete gammas at the cell edges, which loses about
-log10(1/(lam dx)) digits where the cells are short against the decay.
+Every kernel cell of the path simulator and of the calculus operators comes
+from cell_moments, whose docstring states its rule and the digits it loses.
 """
 
 import math
@@ -22,8 +20,8 @@ import numpy as np
 from .errors import ParameterError, ToleranceError
 
 __all__ = ["gamma_fn", "lower_gamma", "lower_gamma_at_log", "upper_gamma",
-           "upper_gamma_on_grid", "cell_moments", "series_start", "bessel_k",
-           "bessel_k_scaled", "struve_l"]
+           "upper_gamma_on_grid", "cell_moments", "bessel_k", "bessel_k_scaled",
+           "struve_l"]
 
 # Gamma overflows in double precision slightly above this argument.
 _GAMMA_OVERFLOW = 171.62
@@ -46,20 +44,40 @@ def gamma_fn(x):
     return math.gamma(x)
 
 
+# g(s) = (1/Gamma(1+s) - 1)/s = sum_k c_{k+2} s^k, the c_k of 1/Gamma(z) = sum_k
+# c_k z^k (DLMF 5.7.1), highest first: 20 terms reach 2^-53 for |s| <= 1/2
+_RGAMMA = (-3.696805618642206e-12, 7.782263439905071e-12, 1.0434267116911005e-10,
+           -1.18127457048702e-09, 5.002007644469223e-09, 6.116095104481416e-09,
+           -2.056338416977607e-07, 1.133027231981696e-06, -1.2504934821426706e-06,
+           -2.013485478078824e-05, 0.0001280502823881162, -0.00021524167411495098,
+           -0.0011651675918590652, 0.0072189432466631, -0.009621971527876973,
+           -0.04219773455554433, 0.16653861138229148, -0.04200263503409524,
+           -0.6558780715202539, 0.5772156649015329)
+
+
 def _incomplete(s, x, upper):
     """Lower (s > 0) or upper incomplete gamma at one x >= 0: the series x^s
-    e^{-x} sum_k x^k / (s (s+1) ... (s+k)) (DLMF 8.7.1) below x = s + 1, the
-    even part of Legendre's continued fraction (DLMF 8.9.2) by modified
-    Lentz above it (and above x = 1 for s <= 0), each the other's
-    complement in Gamma(s).  Below x = 1, E_1 = Gamma(0, x) takes its series
-    (DLMF 6.6.2) and s < 0 the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s
-    e^{-x}) / s."""
+    e^{-x} sum_k x^k / (s (s+1) ... (s+k)) (DLMF 8.7.1) below x = s + 1 and
+    the even part of Legendre's continued fraction (DLMF 8.9.2) by modified
+    Lentz above it (above x = 1 for s <= 0), each the other's complement in
+    Gamma(s).  The upper one for |s| <= 1/2 below x = 1 + max(s, 0) is
+    -Gamma(1+s) g(s) - (x^s - 1)/s + x^s sum_{k>=1} (-1)^{k+1} x^k / (k! (s+k)),
+    which does not cancel near s = 0 (E_1's series at s = 0, DLMF 6.6.2), and
+    for s < -1/2 below x = 1 Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s."""
     if x == 0.0:
         return math.gamma(s) if upper else 0.0
-    if s <= 0.0 and x < 1.0:
-        if s == 0.0:
-            return -0.5772156649015329 - math.log(x) - sum(
-                (-x) ** k / (k * math.factorial(k)) for k in range(1, 21))
+    if upper and abs(s) <= 0.5 and x < 1.0 + max(s, 0.0):
+        g, log_x = 0.0, math.log(x)
+        for c in _RGAMMA:
+            g = g * s + c
+        head = -math.gamma(1.0 + s) * g - (math.expm1(s * log_x) / s if s else log_x)
+        term, total, k = 1.0, 0.0, 0.0
+        while k == 0.0 or abs(term) > _EPS * abs(total):
+            k += 1.0
+            term *= -x / k
+            total -= term / (s + k)
+        return head + math.exp(s * log_x) * total
+    if s < 0.0 and x < 1.0:
         return (_incomplete(s + 1.0, x, True) - math.exp(s * math.log(x) - x)) / s
     scale = math.exp(s * math.log(x) - x)
     if x < s + 1.0:
@@ -136,6 +154,7 @@ def _series_bound(a, p):
     return c * p ** -float(J) * (1.0 + 1.0 / p) ** (max(a - J, 0.0) + max(-a, 0.0))
 
 
+@lru_cache(maxsize=128)
 def series_start(a):
     """First cell P >= 2 from which _series_bound(a, p) <= 2^-53 for all
     p >= P (the bound decreases in p).  P is at most 12 for |a| <= 2 (2 for
@@ -162,23 +181,50 @@ def _unit_moments(h, k):
     return math.exp(-h) * np.cumprod(ratios, axis=1).sum(axis=1)
 
 
+@lru_cache(maxsize=256)
+def _near_cells(b, lam, dx, p0, p1, shift):
+    """int_{q dx}^{(q+1) dx} u^b e^{-lam u} du, q = p + shift, p = p0..p1-1, by the
+    near-cell rule of cell_moments; read-only, as the cache hands it to all callers."""
+    s, h = b + 1.0, lam * dx
+    x = (lam * (dx * (np.arange(p0, p1 + 1) + float(shift)))).tolist()
+    lo = [_incomplete(s, v, False) if s > 0.0 else math.inf for v in x]
+    # cells below s - 1/3, under the median of the Gamma(s) law, take the growing
+    # form without Gamma(s, .), whose Gamma(s) overflows past s = 171.6
+    up = [_incomplete(s, v, True) if v > 0.0 and v + h > s - 1.0 / 3.0 else math.inf
+          for v in x]
+    out = lam ** -s * np.array([lo[i + 1] - lo[i] if lo[i + 1] < up[i] else up[i] - up[i + 1]
+                                for i in range(p1 - p0)])
+    out.setflags(write=False)
+    return out
+
+
 def cell_moments(a, lam, dx, p0, p1, theta=0, shift=0.0):
     """int_{q dx}^{(q+1) dx} u^a e^{-lam u} ((u - q dx)/dx)^theta du for the
-    cells q = p + shift, p = p0..p1-1 (p0 + shift >= 1, theta 0 or 1).
+    cells q = p + shift, p = p0..p1-1 (p0 + shift >= 0, theta 0 or 1, and a +
+    1 + theta > 0 if q = 0 is among them).
 
-    With u = (q + v) dx and h = lam dx, cell q is dx u_q^a e^{-lam u_q}
-    sum_{j<J} C(a, j) q_{j+theta} q^{-j}, q_j = int_0^1 v^j e^{-h v} dv:
-    the binomial series of (1 + v/q)^a, J = 16 terms.  One exp, one log
-    and J multiply-adds per cell, and no difference of large values: from
-    q = series_start(a) on, the truncation is below 2^-53 relative
-    (_series_bound), and what remains is the rounding of u^a e^{-lam u}
-    and of the sum, a few units of 2^-53 times |a| (1 + |log u|) + lam u
-    + J.  Where u^a e^{-lam u} leaves double range, ToleranceError is
-    raised before it overflows.
+    From p = P = series_start(a) on, with u = (q + v) dx and h = lam dx,
+    cell q is dx u_q^a e^{-lam u_q} sum_{j<J} C(a, j) q_{j+theta} q^{-j},
+    q_j = int_0^1 v^j e^{-h v} dv: the binomial series of (1 + v/q)^a, J =
+    16 terms, truncated below 2^-53 relative (_series_bound), with nothing
+    to cancel: a few units of 2^-53 times |a| (1 + |log u|) + lam u + J.
+    Where u^a e^{-lam u} leaves double range, ToleranceError is raised.
+
+    The near cells p < P (at most 12 for |a| <= 2): M(b) = int_cell u^b
+    e^{-lam u} du is lam^{-b-1} times a difference of incomplete gammas of
+    s = b + 1 at the cell's edges x0 < x1 of lam u, which loses the digits
+    of its larger term over the cell.  So it is the growing gamma_lower(s,
+    x1) - gamma_lower(s, x0) where gamma_lower(s, x1) < Gamma(s, x0), else
+    the decaying Gamma(s, x0) - Gamma(s, x1); that ratio stays below 2 P
+    (searched over s from -0.8 to 86, lam dx from 2^-16 to 2) but near s =
+    0, where the decaying form holds a log (8 P at lam dx = 2^-16).  theta
+    = 1 is M(a+1)/dx - q M(a), which loses log10(1 + 4 q) digits more.  (At
+    every cell such differences would lose about log10(1/(lam dx)) digits.)
     """
     J = _SERIES_TERMS
+    P = min(max(series_start(a), p0), p1)
     c = _binomials(a, J) * _unit_moments(lam * dx, J + theta)[theta:]
-    p = np.arange(p0, p1) + float(shift)
+    p = np.arange(P, p1) + float(shift)
     y = 1.0 / p
     s = np.full_like(y, c[-1])
     for cj in c[-2::-1]:      # Horner in place: np.polyval's operations
@@ -190,7 +236,12 @@ def cell_moments(a, lam, dx, p0, p1, theta=0, shift=0.0):
         at = u[np.argmax(log_w)]
         raise ToleranceError(f"cell moments: u^{a:g} e^(-{lam:g} u) at u = {at:g} "
                              "overflows double range")
-    return dx * np.exp(log_w) * s
+    s *= dx * np.exp(log_w)
+    near = _near_cells(a + theta, lam, dx, p0, P, shift) / dx ** theta
+    if theta:   # M(a) from the first cell q > 0 on
+        q = np.arange(p0 + (p0 + shift == 0), P) + float(shift)
+        near[len(near) - len(q):] -= q * _near_cells(a, lam, dx, P - len(q), P, shift)
+    return np.concatenate((near, s))
 
 
 # edges per block of upper_gamma_on_grid

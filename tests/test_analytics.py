@@ -305,11 +305,12 @@ def test_acvf_tfln1_negative_tail_and_asymptote():
     assert abs(approx / exact - 1.0) < 0.1
 
 
-def _acvf1_mpmath(d, lam, h):
+def _acvf1_mpmath(d, lam, h, extra=0):
     """gamma1(h) from the G differences of the module docstring in mpmath,
-    with digits to spare over the ~lam h / ln 10 that the plateau cancels."""
+    with digits to spare over the ~lam h / ln 10 that the plateau cancels,
+    and extra more."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40 + int(0.5 * lam * (h + 1.0))):
+    with mpmath.workdps(40 + extra + int(0.5 * lam * (h + 1.0))):
         D, L, H = mpmath.mpf(d), mpmath.mpf(lam), mpmath.mpf(h)
         nu = D + 0.5
         A = 2 * mpmath.gamma(1 + 2 * D) / (2 * L) ** (1 + 2 * D)
@@ -353,12 +354,13 @@ def test_acvf_tfln1_stencil_rule_relative_to_mpmath(d, lam, h):
     assert abs(acvf_tfln1(p, h) / _acvf1_mpmath(d, lam, h) - 1.0) < 1e-12
 
 
-def _acvf2_mpmath(d, lam, h):
+def _acvf2_mpmath(d, lam, h, extra=0):
     """gamma2(h) = K [H(h+1) - 2 H(h) + H(h-1)] from the closed form of the
     module docstring (Bessel K, Struve L) in mpmath, with digits to spare
-    over the ~lam h / ln 10 that the second difference cancels."""
+    over the ~lam h / ln 10 that the second difference cancels, and extra
+    more."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40 + int(0.5 * lam * (h + 1.0))):
+    with mpmath.workdps(40 + extra + int(0.5 * lam * (h + 1.0))):
         D, L = mpmath.mpf(d), mpmath.mpf(lam)
         mu, nu = D - 0.5, D + 0.5
         A = 2 * mpmath.gamma(1 + 2 * D) / (2 * L) ** (1 + 2 * D)
@@ -395,6 +397,24 @@ def test_acvf_tfln2_stencil_rule_relative_to_mpmath(d, lam, h):
     assert abs(acvf_tfln2(p, h) / _acvf2_mpmath(d, lam, h) - 1.0) < 1e-12
 
 
+def test_noise_acvf_constants_in_logs_where_they_leave_double_range():
+    # lam^{-2 nu} of acvf1 and lam^{-1-2d} of acvf2 overflowed by themselves
+    # here, an OverflowError with the bare text "(34, 'Numerical result out
+    # of range')", though the curves are doubles; their logs reach about
+    # 830, and a rounding of 2^-53 in each of a few terms of that size
+    # leaves them within 2^-51 * 830 < 4e-13 relative (2.1e-13 measured).
+    # At lam = 1e-100 the plateau A, about 1e360, cancels to 1e159 in the
+    # oracles
+    for h in (1.5, 2.0, 3.0):
+        for curve, oracle in ((acvf_tfln1, _acvf1_mpmath), (acvf_tfln2, _acvf2_mpmath)):
+            ref = oracle(1.3, 1e-100, h, extra=300)
+            assert abs(curve(TemperedParams(1.3, 1e-100), h) / ref - 1.0) < 4e-13, (curve, h)
+    # where the curve itself leaves double range, a ToleranceError names it
+    for curve in (acvf_tfln1, acvf_tfln2):
+        with pytest.raises(ToleranceError, match="acvf at lag 2, lambda = 1e-20 is e"):
+            curve(TemperedParams(10.0, 1e-20), 2.0)
+
+
 def test_acvf_where_lam_times_lag_past_one_rounds_to_zero():
     # lam (h-1) is 0 (h = 1.5) or one subnormal step (h = 2): the stencil
     # rule's panels, graded towards a branch point that close, would never
@@ -403,9 +423,11 @@ def test_acvf_where_lam_times_lag_past_one_rounds_to_zero():
     tiny, small = TemperedParams(-0.45, 5e-324), TemperedParams(-0.45, 1e-100)
     for h in (1.5, 2.0):
         assert abs(acvf_tfln1(tiny, h) / acvf_tfln1(small, h) - 1.0) < 1e-11
-    # where lam^{-1-2d} overflows, both raise at once
+    # where lam^{-1-2d} overflows, both raise (exit 3): the constants are
+    # taken in logs, so G (type I) names its own range, and H's Bessel
+    # factors at z = lam x of 1e-323 overflow
     for acvf in (acvf_tfln1, acvf_tfln2):
-        with pytest.raises(ArithmeticError):
+        with pytest.raises((ArithmeticError, ToleranceError)):
             acvf(TemperedParams(0.2, 5e-324), 1.5)
 
 

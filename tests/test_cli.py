@@ -192,41 +192,44 @@ def test_engine_versioned_manifest_reruns_only_on_its_engine(tmp_path, capsys):
             # the variance limit takes its constants in logs
             (["analytic", "varlimit", "--d", "0.3", "--lambda", "0.5"], 1),
             # acvf2 takes its far lags by the stencil rule (engine 2), and
-            # every lag past 1 (engine 4), and the native K (engine 5); with
-            # d < 0 it left a cut spectral inversion for the closed form (one
-            # more); the band is calibrated on its lags past 1
+            # every lag past 1 (engine 4), and the native K (engine 5), with
+            # its constant in logs (engine 6); with d < 0 it left a cut
+            # spectral inversion for the closed form (one more); the band is
+            # calibrated on its lags past 1
             (["analytic", "acvf2", "--d", "0.3", "--lambda", "1",
-              "--range", "0:8:2"], 5),
-            (["analytic", "acvf2", "--d", "-0.3", "--lambda", "1",
               "--range", "0:8:2"], 6),
+            (["analytic", "acvf2", "--d", "-0.3", "--lambda", "1",
+              "--range", "0:8:2"], 7),
             (["analytic", "acvf2band", "--d", "0.3", "--lambda", "1",
-              "--range", "5:8:1"], 5),
-            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
               "--range", "5:8:1"], 6),
+            (["analytic", "acvf2band", "--d", "-0.3", "--lambda", "1",
+              "--range", "5:8:1"], 7),
             # acvf1 drops the plateau from its far-lag differences (engine 1)
             # and takes them by the stencil rule (engine 2), then every lag
-            # past 1 (engine 4), with the native K (engine 5)
+            # past 1 (engine 4), with the native K (engine 5) and its
+            # constants in logs (engine 6)
             (["analytic", "acvf1", "--d", "0.2", "--lambda", "1",
-              "--range", "0:60:10"], 5),
+              "--range", "0:60:10"], 6),
             # every simulate run convolves only the lags it reads (engine 1),
             # with the kernel cut below rounding and its far-lag constant
             # added through the cumulative increments (engine 2), and direct
             # sums over windows of the increments also when nothing is cut
             # (engine 3), and its kernel cells from series_start on take the
             # series of cell_moments (engine 4), and the native incomplete
-            # gammas, type II's far edges as sums of cell moments (engine 5)
-            ([*simulate[:10], "--driver", "gauss"], 5),
+            # gammas, type II's far edges as sums of cell moments (engine 5),
+            # and every kernel cell from cell_moments (engine 6)
+            ([*simulate[:10], "--driver", "gauss"], 6),
             # drivers that draw compound-Poisson jumps count them once and
             # scatter them over the cells (one more)
-            (simulate[:10], 6),
-            ([*simulate, "--alpha", "1.4"], 6),
+            (simulate[:10], 7),
+            ([*simulate, "--alpha", "1.4"], 7),
             # tempered-stable drivers with alpha < 1 split their cells into
             # sub-increments instead (one more)
-            ([*simulate, "--alpha", "0.7"], 6),
+            ([*simulate, "--alpha", "0.7"], 7),
             # type II adds its far-lag constant through the cumulative
             # increments also when nothing is cut (one more)
-            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 7),
-            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 7),
+            (["simulate", "tflp2", *simulate[2:], "--alpha", "1.4"], 8),
+            (["simulate", "tfln2", *simulate[2:], "--alpha", "0.7"], 8),
             # verify suites that draw take the new compound-Poisson draws too
             (["verify", "isometry", "--n-draws", "200"], 1),
             (["verify", "isometry", "--n-draws", "200", "--driver", "tstable",
@@ -499,14 +502,22 @@ def test_sub_step_budget_bounds_time_on_short_grids(tmp_path, capsys):
     # a zero-variance driver leaves the isometry nothing to compare
     ("verify isometry --intensity 0 --out {tmp}/x.csv", {}, 2),
     ("verify all --intensity 0 --out {tmp}/x.csv", {}, 2),
+    # the noise acvfs' constants lam^{-2 nu} and lam^{-1-2d} overflowed by
+    # themselves, with the bare text "(34, 'Numerical result out of range')";
+    # in logs the curves answer where they are doubles and name the lag
+    # where they are not
+    ("analytic acvf1 --d 1.3 --lambda 1e-100 --range 0:3:1 --out {tmp}/x.csv", {}, 0),
+    ("analytic acvf2 --d 1.3 --lambda 1e-100 --range 0:3:1 --out {tmp}/x.csv", {}, 0),
+    ("analytic acvf1 --d 10 --lambda 1e-20 --range 2:3:1 --out {tmp}/x.csv", {}, 3),
+    ("analytic acvf2band --d 10 --lambda 1e-20 --range 2:3:1 --out {tmp}/x.csv", {}, 3),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, code):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run(argv.format(tmp=tmp_path).split()) == code
     err = capsys.readouterr().err
-    assert err.startswith({2: "parameter error: ", 3: "tolerance error: "}[code])
-    assert "Traceback" not in err
+    assert err.startswith({0: "", 2: "parameter error: ", 3: "tolerance error: "}[code])
+    assert "Traceback" not in err and "Numerical result out of range" not in err
 
 
 def test_read_csv_reports_bad_rows_by_line(tmp_path):
