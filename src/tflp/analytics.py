@@ -198,7 +198,8 @@ def _big_h(d: float, lam: float, x: float) -> float:
     would overflow further out), so it is taken as 1 there.  At small z
     (below 1e-208 to 1e-154 for d in (-1/2, 1/2)) a K overflows against an
     underflowing L; where that leaves S not finite, ToleranceError is
-    raised."""
+    raised, as it is where lam^{2d} or Gamma(d) Gamma(1+d) (past d = 98.5)
+    leaves double range."""
     x = abs(float(x))
     if x == 0.0:
         return 0.0
@@ -209,8 +210,13 @@ def _big_h(d: float, lam: float, x: float) -> float:
         S = z * (k_mu * struve_l(mu - 1.0, z) + struve_l(mu, z) * k_mu1)
     if not math.isfinite(S):
         raise ToleranceError(f"H: S(z) at z = lam x = {z:g} is out of double range")
-    return 0.5 * x * S / lam ** (2.0 * d) \
-        - _big_g(d, lam, x) / (gamma_fn(d) * gamma_fn(1.0 + d))
+    if not _LOG_TINY < 2.0 * d * math.log(lam) < _LOG_HUGE:
+        raise ToleranceError(f"H: lam^(2d) = {lam:g}^{2.0 * d:g} is out of double range")
+    g = _big_g(d, lam, x)
+    gg = gamma_fn(d) * gamma_fn(1.0 + d)
+    if gg == math.inf:
+        raise ToleranceError(f"H: Gamma(d) Gamma(1+d) at d = {d:g} is out of double range")
+    return 0.5 * x * S / lam ** (2.0 * d) - g / gg
 
 
 def cov_tflp2(params: TemperedParams, s: float, t: float, EL2: float = 1.0) -> float:

@@ -237,6 +237,8 @@ def cell_moments(a, lam, dx, p0, p1, theta=0, shift=0.0):
         raise ToleranceError(f"cell moments: u^{a:g} e^(-{lam:g} u) at u = {at:g} "
                              "overflows double range")
     s *= dx * np.exp(log_w)
+    if P == p0:
+        return s
     near = _near_cells(a + theta, lam, dx, p0, P, shift) / dx ** theta
     if theta:   # M(a) from the first cell q > 0 on
         q = np.arange(p0 + (p0 + shift == 0), P) + float(shift)
@@ -305,7 +307,9 @@ def _k_rows(orders, z, scaled):
     depend on the other points in the call.  Points of different steps, or
     so spread that the smallest z takes over 128 nodes, are split.  Where
     the integrand's peak, below e^{v asinh(v/z)}, passes e^700, the point's
-    terms are scaled by its inverse, so nothing overflows before the result."""
+    terms are scaled by its inverse, so nothing overflows before the result.
+    Where the reach T of the smallest z leaves double range (746/z or v/z
+    does, below z of about 2e-306), ToleranceError is raised."""
     v = max(orders)
     z_lo, z_hi = (float(z[0]),) * 2 if len(z) == 1 else (float(z.min()), float(z.max()))
     if not z_lo > 0.0:
@@ -314,6 +318,9 @@ def _k_rows(orders, z, scaled):
     T = math.asinh(v / z_lo) + 1.0
     for _ in range(4):
         T = 2.0 * math.asinh(math.sqrt((746.0 + v * T) / (2.0 * z_lo)))
+    if T == math.inf:
+        raise ToleranceError(f"bessel_k: the trapezoid step count at z = {z_lo:g} "
+                             "is out of double range")
     n = math.ceil(T / h) + 1
     n = -(-n // 8) * 8 if n <= 128 else 1 << (n - 1).bit_length()
     if _k_step(v, z_lo) != h or (n > 128 and z_hi > 2.0 * z_lo):

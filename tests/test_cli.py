@@ -330,15 +330,25 @@ def test_acvf2_at_strong_tempering_writes_finite_values(tmp_path, lam, lags):
     assert len(data) >= 3 and np.all(np.isfinite(data))
 
 
-@pytest.mark.parametrize("curve, lags", [("acvf2", "0:3:1"), ("cov2", "0.5:2:0.5")])
-def test_type2_curves_out_of_double_range_exit_3(tmp_path, curve, lags):
+@pytest.mark.parametrize("curve, d, lam, lags, what", [
+    ("acvf2", "-0.3", "1e-200", "0:3:1", "S(z) at z"),
+    ("cov2", "-0.3", "1e-200", "0.5:2:0.5", "S(z) at z"),
+    ("acvf2", "10", "1e-20", "0:1:1", "lam^(2d)"), ("cov2", "10", "1e-20", "1:2:1", "lam^(2d)"),
+    ("acvf2", "0.2", "5e-324", "1.5:2:1", "bessel_k: the trapezoid step count at z"),
+    ("cov2", "100", "10", "1:2:1", "Gamma(d) Gamma(1+d)")],
+    ids=["acvf2-0:3:1", "cov2-0.5:2:0.5", "acvf2-d10", "cov2-d10", "acvf2-lam5e-324", "cov2-d100"])
+def test_type2_curves_out_of_double_range_exit_3(tmp_path, capsys, curve, d, lam, lags, what):
     # at lam = 1e-200, S(z) = z [K_mu L_{mu-1} + L_mu K_{mu-1}] of H has an
     # overflowing K against an underflowing L; those rows were written as
-    # nan with exit 0
+    # nan with exit 0.  lam^20 underflowed to a bare "float division by
+    # zero", the Bessel step at z = 1e-323 to a bare OverflowError, and past
+    # d = 98.5 Gamma(d) Gamma(1+d) overflowed and dropped K Phi1 without a word
     out = tmp_path / "h.csv"
-    assert run(["analytic", curve, "--d", "-0.3", "--lambda", "1e-200",
+    assert run(["analytic", curve, "--d", d, "--lambda", lam,
                 "--range", lags, "--out", out]) == 3
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert what in err and "out of double range" in err, err
 
 
 def test_calculus_kernel_overflow_exits_3(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Driving noise: moments, characteristic exponents, samplers, config."""
 
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import tflp
 from tflp import driver, errors
 from tflp.driver import (
     CompoundPoisson, GaussianJumps, GaussianValidation, TemperedStable,
-    TwoPoint, UniformSymmetric, _compound_poisson, _positive_stable, _rng_for,
+    TwoPoint, UniformSymmetric, _BUCKETS, _compound_poisson, _rng_for, _squeeze_logs,
     _tilted_subordinator,
     char_exponent, sample_increments, second_moment, spec_from_config,
 )
@@ -125,9 +126,10 @@ def test_heavily_tempered_sampling_returns():
 
 
 def test_rejection_routes_keep_their_draw_order():
-    # the recipes as written before the rejection loop was shared: the
-    # alpha >= 1 route (with its jumps counted and scattered), and alpha < 1
-    # where each cell is one step (m = 1)
+    # the recipes as written before the rejection loop was shared and before
+    # the squeeze: the alpha >= 1 route (with its jumps counted and
+    # scattered), and alpha < 1 as m sub-steps of Zolotarev proposals, each
+    # computed in full and kept where a uniform is below exp(-lam X)
     def rejection(rng, n, propose, accept_prob):
         out = np.empty(n)
         todo = np.arange(n)
@@ -138,33 +140,80 @@ def test_rejection_routes_keep_their_draw_order():
             todo = todo[~acc]
         return out
 
-    grid = SampleGrid(0.0, 20.0, 2000)
-    dt, n = grid.dx, grid.n_cells
-    for a in (0.7, 1.0, 1.4):
-        lam, c = 1.3, 0.8
+    def positive_stable(rng, alpha, n):
+        u = rng.uniform(0.0, np.pi, size=n)
+        e = rng.standard_exponential(size=n)
+        return (np.sin(alpha * u)
+                * (np.sin((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
+                * np.sin(u) ** (-1.0 / alpha))
+
+    def subordinator(rng, a, lam, c, dt, n, m):
+        sigma_alpha = c * dt * math.gamma(1.0 - a) / a
+        assert max(1, math.ceil(lam ** a * sigma_alpha)) == m
+        sigma = (sigma_alpha / m) ** (1.0 / a)
+        out = np.zeros(n)
+        for _ in range(m):
+            out += rejection(rng, n, lambda k: sigma * positive_stable(rng, a, k),
+                             lambda x: np.exp(-lam * x))
+        return out
+
+    fine, unit = SampleGrid(0.0, 20.0, 2000), SampleGrid(0.0, 2000.0, 2000)
+    # (alpha, lam, c, grid, m for alpha < 1): one step per cell, split cells
+    # (dt = 1), and alpha near both ends of (0, 1), where the squeeze's
+    # powers of A leave double range unless taken in logs
+    for a, lam, c, grid, m in ((0.7, 1.3, 0.8, fine, 1), (0.7, 1.0, 1.0, unit, 5),
+                               (0.7, 10.0, 1.0, unit, 22), (0.01, 1.3, 0.8, fine, 1),
+                               (0.999, 1.3, 0.8, fine, 11), (1.0, 1.3, 0.8, fine, None),
+                               (1.4, 1.3, 0.8, fine, None)):
+        dt, n = grid.dx, grid.n_cells
         rng = _rng_for(5, 2)
-        if a < 1.0:
-            sigma = (c * dt * sp.gamma(1.0 - a) / a) ** (1.0 / a)
-            assert (lam * sigma) ** a <= 1.0
-            sub = [rejection(rng, n, lambda k: sigma * _positive_stable(rng, a, k),
-                             lambda x: np.exp(-lam * x)) for _ in range(2)]
-            expected = sub[0] - sub[1]
-        else:
-            eps = min((2.0 * c * dt / (a * 10.0)) ** (1.0 / a), 1.0 / lam)
-            rate = 2.0 * c * lam ** a * float(upper_gamma(-a, lam * eps))
-            # count and scatter: the total count, the cells, then the sizes
-            total = rng.poisson(rate * dt * n)
-            cells = rng.integers(0, n, total)
-            sizes = rejection(rng, total, lambda k: eps * rng.random(k) ** (-1.0 / a),
-                              lambda x: np.exp(-lam * (x - eps)))
-            signs = 2.0 * rng.integers(0, 2, size=total) - 1.0
-            expected = np.zeros(n)
-            np.add.at(expected, cells, signs * sizes)
-            small_var = 2.0 * c * lam ** (a - 2.0) * float(
-                sp.gamma(2.0 - a) * sp.gammainc(2.0 - a, lam * eps))
-            expected += rng.normal(0.0, np.sqrt(small_var * dt), size=n)
-        got = sample_increments(TemperedStable(a, lam, c), grid, seed=5, stream=2)
-        np.testing.assert_array_equal(got, expected)
+        with np.errstate(over="ignore", invalid="ignore"):  # Zolotarev's form at a = 0.01
+            if a < 1.0:
+                expected = (subordinator(rng, a, lam, c, dt, n, m)
+                            - subordinator(rng, a, lam, c, dt, n, m))
+            else:
+                eps = min((2.0 * c * dt / (a * 10.0)) ** (1.0 / a), 1.0 / lam)
+                rate = 2.0 * c * lam ** a * float(upper_gamma(-a, lam * eps))
+                # count and scatter: the total count, the cells, then the sizes
+                total = rng.poisson(rate * dt * n)
+                cells = rng.integers(0, n, total)
+                sizes = rejection(rng, total, lambda k: eps * rng.random(k) ** (-1.0 / a),
+                                  lambda x: np.exp(-lam * (x - eps)))
+                signs = 2.0 * rng.integers(0, 2, size=total) - 1.0
+                expected = np.zeros(n)
+                np.add.at(expected, cells, signs * sizes)
+                small_var = 2.0 * c * lam ** (a - 2.0) * float(
+                    sp.gamma(2.0 - a) * sp.gammainc(2.0 - a, lam * eps))
+                expected += rng.normal(0.0, np.sqrt(small_var * dt), size=n)
+            got = sample_increments(TemperedStable(a, lam, c), grid, seed=5, stream=2)
+        np.testing.assert_array_equal(got, expected, err_msg=f"alpha = {a}, lam = {lam}")
+
+
+def test_squeeze_table_stays_below_its_buckets():
+    # log C_k/(lam sigma) = log A(k pi/K)^b less the margin must not exceed
+    # log A(u)^b anywhere on bucket k, A taken at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    K = _BUCKETS
+    for a in (1e-3, 0.01, 0.3, 0.7, 0.99, 0.999, 0.9999):
+        table = _squeeze_logs(a)
+        assert table.shape == (K + 1,) and not table.flags.writeable
+        with mpmath.workdps(30):
+            alpha = mpmath.mpf(a)
+            b = (1 - alpha) / alpha
+
+            def log_ab(u):
+                log_sin = lambda x: mpmath.log(mpmath.sin(x))
+                return log_sin(alpha * u) + b * log_sin((1 - alpha) * u) - log_sin(u) / alpha
+
+            for k in range(K):
+                lo = mpmath.pi * k / K
+                # dense points of the bucket, its left edge (or u -> 0+) included
+                points = [lo + mpmath.pi / K * (j + (k == 0) * mpmath.mpf(10) ** -12) / 8
+                          for j in range(9)]
+                low = min(log_ab(u) for u in points)
+                assert table[k] <= low, (a, k, table[k], float(low))
+                if k == K - 1:
+                    assert table[K] <= low
 
 
 def test_compound_poisson_law():
