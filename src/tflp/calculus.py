@@ -14,6 +14,15 @@ special.cell_moments, whose docstring states their rule and the digits
 it loses.  The Marchaud tail masses int_{p dx}^inf are suffix sums of
 the cell moments from one upper incomplete gamma at the last edge.
 
+Both operators are one FFT correlation of f with node weights.  None of
+the derivative's weights depends on f, so they live in a read-only plan,
+cached per (kappa, lambda, dx, n) for the last 4 of them: the rfft of the
+node weights, the diagonal mass and the constant-extension masses, about
+24 (n + 1) bytes, 1.5 MB on 2^16 points.  A repeated derivative, such as
+D f after D(I f) on one grid, then costs one rfft, one product and one
+irfft.  The integral, mostly applied once, builds its weights per call.
+Every output owns its memory, not a view of the FFT buffer.
+
 Conventions (documented contracts):
   * the integral operators treat f as zero outside its grid;
   * the Marchaud derivative extends f by its right edge value, so that
@@ -29,6 +38,8 @@ dx^(2 - kappa); the product-integration error is second order away from
 the kernel singularity and order 2 - kappa at it, while the multiplier
 is spectrally accurate, so the gap tracks the Marchaud error.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -59,15 +70,24 @@ def _reversed(f):
     return GridFunction(f.grid, f.values[::-1].copy())
 
 
-def _correlate(weights, values, n):
-    """out_j = sum_p weights[p] * values[j+p], j = 0..n, read off the linear
-    convolution of weights with the reversed values by numpy.fft.  The FFT
-    length (the 5-smooth next_fast_len) and product order are those of
-    scipy.signal.fftconvolve(weights, values[::-1]), whose pocketfft gives
-    the same bits."""
-    nfft = next_fast_len(len(weights) + len(values) - 1)
-    conv = irfft(rfft(weights, nfft) * rfft(values[::-1], nfft), nfft)
-    return conv[: n + 1][::-1]
+def _spectrum(weights, m):
+    """(rfft of weights, nfft) at the length nfft of their linear convolution
+    with m values: the 5-smooth next_fast_len, as scipy.signal.fftconvolve
+    takes it."""
+    nfft = next_fast_len(len(weights) + m - 1)
+    return rfft(weights, nfft), nfft
+
+
+def _correlate(spectrum, values, n):
+    """out_j = sum_p weights[p] * values[j+p], j = 0..n, from the weights'
+    _spectrum, read off their linear convolution with the reversed values.
+    The product keeps the weights as first operand, as
+    scipy.signal.fftconvolve(weights, values[::-1]) does, whose pocketfft
+    then gives the same bits; the output owns its n + 1 floats."""
+    W, nfft = spectrum
+    X = rfft(values[::-1], nfft)
+    np.multiply(W, X, out=X)
+    return irfft(X, nfft)[n::-1].copy()
 
 
 def frac_integral_minus(f: GridFunction, kappa: float, lam: float) -> GridFunction:
@@ -86,7 +106,9 @@ def frac_integral_minus(f: GridFunction, kappa: float, lam: float) -> GridFuncti
     # the (1-theta) part of cell p
     w = M0 - B
     w[1:] += B[:-1]
-    out = _correlate(w / gamma_fn(kappa), f.values, n)
+    w /= gamma_fn(kappa)
+    del M0, B   # freed before the FFT buffers, which set the peak memory
+    out = _correlate(_spectrum(w, n + 1), f.values, n)
     return GridFunction(f.grid, out)
 
 
@@ -107,16 +129,12 @@ def _marchaud_moments(kappa, lam, dx, n):
     return N0, B, np.cumsum(np.append(last, N0[::-1]))[::-1]
 
 
-def frac_derivative_minus(f: GridFunction, kappa: float, lam: float) -> GridFunction:
-    """Negative tempered fractional derivative (Marchaud form), 0 < kappa < 1."""
-    if not 0.0 < kappa < 1.0:
-        raise ValueError("frac_derivative_minus: requires kappa in (0, 1)")
-    if lam <= 0:
-        raise ValueError("frac_derivative_minus: requires lambda > 0")
-    n = f.grid.n_cells
-    dx = f.grid.dx
-    vals = f.values
-    c = kappa / gamma_fn(1.0 - kappa)
+@lru_cache(maxsize=4)
+def _marchaud_plan(kappa, lam, dx, n):
+    """The f-free part of D^{kappa,lam}_- on n cells of width dx: the
+    _spectrum of the node weights v, the diagonal mass diag and the
+    constant-extension masses rest (j = 0..n-1).  About 24 (n + 1) bytes;
+    read-only, as the cache hands them to every caller."""
     # N0, B: cells p = 1..n; T0: edges p = 1..n+1
     N0, B, T0 = _marchaud_moments(kappa, lam, dx, n)
     A = N0 - B
@@ -125,13 +143,28 @@ def frac_derivative_minus(f: GridFunction, kappa: float, lam: float) -> GridFunc
     v = np.zeros(n + 1)
     v[1] = N1_0 / dx + A[0]
     v[2:] = B[:-1] + A[1:]
-    diag = N1_0 / dx + T0[0]
-    conv = _correlate(v, vals, n)
+    spectrum = _spectrum(v, n + 1)
     # constant extension beyond the last node: cells past n - j carry f_n,
     # minus the cell-(n-j) left-node mass A already applied through v
-    tail = vals[-1] * (T0[:n][::-1] - A[::-1])                  # j = 0..n-1
+    rest = T0[:n][::-1] - A[::-1]
+    spectrum[0].setflags(write=False)
+    rest.setflags(write=False)
+    return spectrum, N1_0 / dx + T0[0], rest
+
+
+def frac_derivative_minus(f: GridFunction, kappa: float, lam: float) -> GridFunction:
+    """Negative tempered fractional derivative (Marchaud form), 0 < kappa < 1."""
+    if not 0.0 < kappa < 1.0:
+        raise ValueError("frac_derivative_minus: requires kappa in (0, 1)")
+    if lam <= 0:
+        raise ValueError("frac_derivative_minus: requires lambda > 0")
+    n = f.grid.n_cells
+    vals = f.values
+    c = kappa / gamma_fn(1.0 - kappa)
+    spectrum, diag, rest = _marchaud_plan(float(kappa), float(lam), f.grid.dx, n)
+    conv = _correlate(spectrum, vals, n)
     out = np.empty(n + 1)
-    out[:n] = lam ** kappa * vals[:n] + c * (vals[:n] * diag - conv[:n] - tail)
+    out[:n] = lam ** kappa * vals[:n] + c * (vals[:n] * diag - conv[:n] - vals[-1] * rest)
     out[n] = lam ** kappa * vals[n]
     return GridFunction(f.grid, out)
 
@@ -166,9 +199,8 @@ def fourier_multiplier(f: GridFunction, kappa: float, lam: float,
         raise ValueError("fourier_multiplier: sign must be '-' or '+'")
     fhat, omega, n, m = _padded_fft(f)
     s = -1.0 if sign == "-" else 1.0
-    mult = (lam + s * 1j * omega) ** kappa
-    out = irfft(fhat * mult, m)[:n]
-    return GridFunction(f.grid, out)
+    np.multiply(fhat, (lam + s * 1j * omega) ** kappa, out=fhat)
+    return GridFunction(f.grid, irfft(fhat, m)[:n].copy())
 
 
 def sobolev_norm(f: GridFunction, kappa: float, lam: float) -> float:

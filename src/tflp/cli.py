@@ -39,7 +39,7 @@ import numpy as np
 from . import analytics
 from .calculus import (fourier_multiplier, frac_derivative_minus,
                        frac_integral_minus)
-from .driver import DRIVER_DEFAULTS, second_moment, spec_from_config
+from .driver import DRIVER_DEFAULTS, check_seed, second_moment, spec_from_config
 from .errors import ParameterError, ToleranceError, check_budget
 from .grids import GridFunction, SampleGrid
 from .integration import ElementaryFunction, integrate_general
@@ -323,6 +323,7 @@ def _verify_covariance(cfg, table):
 def _isometry_driver(cfg):
     """The driver of the isometry suite and its E[L(1)^2], once its inputs
     are checked; run_verify checks them before any suite runs."""
+    check_seed(cfg["seed"])
     if cfg["n_draws"] < 2:
         raise ParameterError("verify isometry: --n-draws must be at least 2, "
                              f"got {cfg['n_draws']}")

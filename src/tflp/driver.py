@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import check_budget
+from .errors import ParameterError, check_budget
 from .grids import SampleGrid
 from .special import gamma_fn, lower_gamma, upper_gamma as _upper_gamma
 
@@ -255,6 +255,13 @@ def _rng_for(seed, stream=0):
     return _local.rng
 
 
+def check_seed(seed):
+    """Raise ParameterError unless 0 <= seed < 2^32, the seeds _rng_for keys
+    apart."""
+    if not 0 <= seed < 1 << 32:
+        raise ParameterError(f"seed must lie in [0, 2^32), got {seed}")
+
+
 def _compound_poisson(rng, rate, n, jumps):
     """Sums over n cells of Poisson(rate) many jumps each, by count and
     scatter: one total N ~ Poisson(rate n), N cells drawn uniformly, then
@@ -358,8 +365,11 @@ def sample_increments(spec, grid: SampleGrid, seed: int, stream: int = 0) -> np.
     """I.i.d. increments dL_k = L(x_{k+1}) - L(x_k) over the grid cells.
 
     Deterministic for fixed (spec, grid, seed, stream); distinct streams
-    give independent paths for ensemble generation.
+    give independent paths for ensemble generation.  The seed lies in
+    [0, 2^32): the generator's key is (seed << 32) + stream, so a wider seed
+    would alias another one.
     """
+    check_seed(seed)
     rng = _rng_for(seed, stream)
     dt, n = grid.dx, grid.n_cells
     if isinstance(spec, CompoundPoisson):

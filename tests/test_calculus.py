@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from numpy.fft import irfft, rfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tflp.calculus import (
-    _correlate, _marchaud_moments, fourier_multiplier, frac_derivative_minus,
-    frac_derivative_plus, frac_integral_minus, frac_integral_plus,
-    sobolev_norm,
+    _correlate, _marchaud_moments, _marchaud_plan, _spectrum, fourier_multiplier,
+    frac_derivative_minus, frac_derivative_plus, frac_integral_minus,
+    frac_integral_plus, sobolev_norm,
 )
 from tflp.errors import ToleranceError
-from tflp.grids import GridFunction, SampleGrid
-from tflp.special import upper_gamma
+from tflp.grids import GridFunction, SampleGrid, next_fast_len
+from tflp.integration import _classify, transform_integrand
+from tflp.processes import TemperedParams
+from tflp.special import cell_moments, gamma_fn, upper_gamma
 
 
 def _bump(width=25.0, dx=2.0 ** -6):
@@ -25,8 +28,118 @@ def test_correlate_matches_scipy_signal_bit_for_bit():
     rng = np.random.default_rng(3)
     for n, m in ((1, 1), (7, 3), (8, 8), (97, 1000), (1474, 1474), (2049, 31)):
         weights, values = rng.standard_normal(n), rng.standard_normal(m)
-        np.testing.assert_array_equal(_correlate(weights, values, m - 1),
+        np.testing.assert_array_equal(_correlate(_spectrum(weights, m), values, m - 1),
                                       fftconvolve(weights, values[::-1])[:m][::-1])
+
+
+# The operators as they were before the derivative's plan was cached: weights
+# rebuilt per call, rfft(weights) * rfft(values) in that order, no copies.
+# Every operator must still return these bits, cold or from the plan.
+
+def _reference_correlate(weights, values, n):
+    nfft = next_fast_len(len(weights) + len(values) - 1)
+    conv = irfft(rfft(weights, nfft) * rfft(values[::-1], nfft), nfft)
+    return conv[: n + 1][::-1]
+
+
+def _reference_integral(f, kappa, lam):
+    n, dx = f.grid.n_cells, f.grid.dx
+    M0 = cell_moments(kappa - 1.0, lam, dx, 0, n + 1)
+    B = cell_moments(kappa - 1.0, lam, dx, 0, n + 1, theta=1)
+    w = M0 - B
+    w[1:] += B[:-1]
+    return _reference_correlate(w / gamma_fn(kappa), f.values, n)
+
+
+def _reference_derivative(f, kappa, lam):
+    n, dx, vals = f.grid.n_cells, f.grid.dx, f.values
+    c = kappa / gamma_fn(1.0 - kappa)
+    N0, B, T0 = _marchaud_moments(kappa, lam, dx, n)
+    A = N0 - B
+    N1_0 = cell_moments(-kappa, lam, dx, 0, 1)[0]
+    v = np.zeros(n + 1)
+    v[1] = N1_0 / dx + A[0]
+    v[2:] = B[:-1] + A[1:]
+    diag = N1_0 / dx + T0[0]
+    conv = _reference_correlate(v, vals, n)
+    tail = vals[-1] * (T0[:n][::-1] - A[::-1])
+    out = np.empty(n + 1)
+    out[:n] = lam ** kappa * vals[:n] + c * (vals[:n] * diag - conv[:n] - tail)
+    out[n] = lam ** kappa * vals[n]
+    return out
+
+
+def _reference_multiplier(f, kappa, lam, sign):
+    n = f.grid.n_cells + 1
+    omega = 2.0 * np.pi * np.fft.rfftfreq(2 * n, d=f.grid.dx)
+    mult = (lam + (-1.0 if sign == "-" else 1.0) * 1j * omega) ** kappa
+    return irfft(rfft(f.values, 2 * n) * mult, 2 * n)[:n]
+
+
+def _reference_operators(f, kappa, lam):
+    g = GridFunction(f.grid, f.values[::-1].copy())
+    return {frac_integral_minus: _reference_integral(f, kappa, lam),
+            frac_integral_plus: _reference_integral(g, kappa, lam)[::-1],
+            frac_derivative_minus: _reference_derivative(f, kappa, lam),
+            frac_derivative_plus: _reference_derivative(g, kappa, lam)[::-1]}
+
+
+def _owns_its_values(out):
+    base = out.values.base
+    return base is None or base.size <= out.values.size
+
+
+@pytest.mark.parametrize("n", [1, 4, 97, 2 ** 16 - 1])
+def test_operators_keep_their_bits_cold_and_from_the_plan(n):
+    grid = SampleGrid(-50.0, 50.0, n)
+    f = GridFunction.from_callable(grid, lambda x: np.exp(-(x - 0.3) ** 2) + 0.1 * np.sin(x))
+    for kappa in (0.2, 0.5, 0.8):
+        for lam in (0.3, 1.0, 2.5):
+            ref = _reference_operators(f, kappa, lam)
+            _marchaud_plan.cache_clear()
+            for _ in ("cold", "warm"):
+                for op, want in ref.items():
+                    out = op(f, kappa, lam)
+                    np.testing.assert_array_equal(out.values, want)
+                    assert _owns_its_values(out), op.__name__
+                for sign in "-+":
+                    out = fourier_multiplier(f, kappa, lam, sign)
+                    np.testing.assert_array_equal(
+                        out.values, _reference_multiplier(f, kappa, lam, sign))
+                    assert _owns_its_values(out)
+            assert _marchaud_plan.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n", [1, 4, 97, 2 ** 16 - 1])
+def test_grid_transforms_keep_their_bits(n):
+    grid = SampleGrid(-50.0, 50.0, n)
+    f = GridFunction.from_callable(grid, lambda x: np.exp(-(x - 0.3) ** 2))
+    ops = {"I": _reference_integral, "D": _reference_derivative}
+    for target, d in (("TFLP2", 0.3), ("TFLP2", -0.3), ("TFLP1", -0.3), ("TFLP1", 0.3)):
+        for lam in (0.3, 1.0, 2.5):
+            p = TemperedParams(d, lam)
+            _, terms = _classify(p, target)
+            want = sum(k * ops[op](f, order, lam) for k, op, order in terms)
+            _marchaud_plan.cache_clear()
+            for _ in ("cold", "warm"):
+                np.testing.assert_array_equal(
+                    transform_integrand(f, p, target).transformed.values, want)
+
+
+def test_plan_is_read_only_and_served_to_the_second_derivative():
+    f = _bump(dx=2.0 ** -5)
+    kappa, lam = 0.5, 1.0
+    _marchaud_plan.cache_clear()
+    frac_derivative_minus(frac_integral_minus(f, kappa, lam), kappa, lam)
+    frac_derivative_minus(f, kappa, lam)
+    info = _marchaud_plan.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    (W, nfft), diag, rest = _marchaud_plan(kappa, lam, f.grid.dx, f.grid.n_cells)
+    assert nfft == next_fast_len(2 * f.grid.n_cells + 1) and np.isfinite(diag)
+    for arr in (W, rest):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_tail_masses_telescope_against_cell_moments():

@@ -410,6 +410,27 @@ def test_parameter_errors_exit_2(tmp_path):
     assert run(["rerun", manifest]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", "4294967296", "4294967301"])
+def test_seed_outside_32_bits_exits_2(tmp_path, capsys, seed):
+    # 4294967301 = 2^32 + 5 would otherwise write the rows of --seed 5
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "tflp1", "--d", "0.2", "--lambda", "1", "--n", "8",
+                "--seed", seed, "--out", out]) == 2
+    assert "parameter error" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["simulate", "tflp1", "--d", "0.2", "--lambda", "1", "--n", "8",
+                "--seed", "4294967295", "--out", out]) == 0
+
+
+def test_verify_checks_the_seed_before_any_suite(monkeypatch, capsys):
+    def spy(cfg, table):
+        raise AssertionError("a suite ran before the seed was checked")
+    for name in cli._SUITES:
+        monkeypatch.setitem(cli._SUITES, name, spy)
+    assert run(["verify", "all", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_cell_budget_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(errors, "MAX_CELLS", 100)
     out = tmp_path / "x.csv"

@@ -267,6 +267,30 @@ def test_rekeyed_generator_draws_as_a_fresh_one(monkeypatch):
         np.testing.assert_array_equal(x, sample_increments(spec, grid, seed=5, stream=2))
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 32, 2 ** 32 + 5, 2 ** 64])
+def test_seed_outside_32_bits_is_a_parameter_error(seed):
+    # Philox is keyed (seed << 32) + stream in uint64: a seed of 2^32 or more
+    # would alias the seed below it mod 2^32, a negative one overflow the key
+    from tflp.integration import ElementaryFunction, integrate_general
+    from tflp.processes import TemperedParams, simulate_ensemble, simulate_tflp1
+    spec, grid, p = CompoundPoisson(1.0, UniformSymmetric(1.0)), SampleGrid(0.0, 1.0, 8), \
+        TemperedParams(0.2, 1.0)
+    calls = [lambda: sample_increments(spec, grid, seed),
+             lambda: simulate_tflp1(p, grid, spec, seed=seed),
+             lambda: simulate_ensemble("TFLP2", p, grid, spec, seed, 3),
+             lambda: integrate_general(ElementaryFunction.indicator(1.0), p, spec, seed, 2,
+                                       dx=2.0 ** -4)]
+    for call in calls:
+        with pytest.raises(errors.ParameterError, match="seed"):
+            call()
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (5, 2), (2 ** 32 - 1, 0), (2 ** 32 - 1, 9)])
+def test_seeds_inside_32_bits_draw_from_their_key(seed, stream):
+    fresh = np.random.Generator(np.random.Philox(key=(seed << 32) + stream))
+    np.testing.assert_array_equal(_rng_for(seed, stream).random(8), fresh.random(8))
+
+
 def test_threads_sampling_at_once_get_their_single_thread_arrays():
     grid = SampleGrid(0.0, 20.0, 999)
     jobs = [(spec, seed) for seed in range(3) for spec in _ALL_SAMPLERS]
