@@ -85,6 +85,8 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LN2 = math.log(2.0)
 # e^x is a normal double between these x
 _LOG_TINY, _LOG_HUGE = -708.0, 709.78
+# the least normal double
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -265,11 +267,19 @@ def _far_second_difference(lam: float, h: float, d: float, g) -> float:
     s z^d e^{-s}, is below rounding.  So a lag takes 30 + 2 max(d, 0)
     panels at most, plus about 10 per decade of min(8, 2 lam)/(lam (h-1));
     as lam (h-1) >= lam 2^{-52}, at most 170 panels (searched over lam from
-    1e-3 to 1e8; at lam = 0.3, 1024 nodes at h = 1 + 1e-12, 72 at 1.37)."""
+    1e-3 to 1e8; at lam = 0.3, 1024 nodes at h = 1 + 1e-12, 72 at 1.37).
+    Where the integral is not finite (g overflows, as type I's does at
+    lam = 1 from d = 151.2 on at lag 2, from d = 150 on at lag 9),
+    ToleranceError names the lag, d and lam."""
     z0 = lam * (h - 1.0)
     stop = min(2.0 * lam, 40.0 + 4.0 * max(d, 0.0))
     s, weights = _stencil_nodes(lam, min(z0, 8.0), stop)
-    return math.exp(-z0) * float(np.dot(weights, g(z0 + s)))
+    with np.errstate(all="ignore"):
+        total = float(np.dot(weights, g(z0 + s)))
+    if not math.isfinite(total):
+        raise ToleranceError(f"acvf: the stencil integral at lag {h:g}, d = {d:g}, "
+                             f"lambda = {lam:g} is out of double range")
+    return math.exp(-z0) * total
 
 
 # below this tempering rate the noise acvfs take only lags |h| <= 2
@@ -331,13 +341,30 @@ def acvf_tfln1_asymptotic(params: TemperedParams, h: float, EL2: float = 1.0) ->
     return float(out) if out.ndim == 0 else out
 
 
+def _check_denominator(display, params, omega, den):
+    """ToleranceError naming the display, d, lam and the first omega whose
+    denominator den is 0 or below the normal double range."""
+    low = np.asarray(den) < _TINY
+    if np.any(low):
+        w = np.asarray(omega)[low].flat[0]
+        raise ToleranceError(f"{display} at d = {params.d:g}, lambda = {params.lam:g}, "
+                             f"omega = {w:g}: its denominator leaves double range")
+
+
+# The displays take lam as a numpy float, whose powers are those of a float
+# but overflow to inf (a display then flushes to 0) instead of raising.
+
 def spec_density_tfln1(params: TemperedParams, omega) -> float:
-    """Spectral density display of the type I noise, normalized to EL2 = 1."""
-    d, lam = params.d, params.lam
+    """Spectral density display of the type I noise, normalized to EL2 = 1;
+    h1(0) = 0."""
+    d, lam = params.d, np.float64(params.lam)
     omega = np.asarray(omega, dtype=float)
+    with np.errstate(over="ignore"):
+        # den may underflow at omega = 0, where the numerator is 0
+        den = np.where(omega == 0.0, 1.0, (lam ** 2 + omega ** 2) ** (d + 1.0))
+    _check_denominator("h1", params, omega, den)
     # 1 - cos w = 2 sin^2(w/2), stable for small w
-    out = 2.0 * np.sin(0.5 * omega) ** 2 \
-        / (2.0 * np.pi * (lam ** 2 + omega ** 2) ** (d + 1.0))
+    out = 2.0 * np.sin(0.5 * omega) ** 2 / (2.0 * np.pi * den)
     return float(out) if out.ndim == 0 else out
 
 
@@ -345,16 +372,22 @@ def spec_density_tfln2(params: TemperedParams, omega) -> float:
     """Spectral density display of the type II noise (Von Karman type),
     normalized to EL2 = 1; the omega = 0 value is the Taylor limit
     1/(4 pi lam^{2d})."""
-    d, lam = params.d, params.lam
+    d, lam = params.d, np.float64(params.lam)
     omega = np.asarray(omega, dtype=float)
     out = np.empty_like(omega)
     zero = omega == 0.0
-    out[zero] = 0.5 / (2.0 * np.pi * lam ** (2.0 * d))
+    if np.any(zero):
+        with np.errstate(over="ignore"):
+            den = lam ** (2.0 * d)
+        _check_denominator("h2", params, 0.0, den)
+        out[zero] = 0.5 / (2.0 * np.pi * den)
     nz = ~zero
     w = omega[nz]
+    with np.errstate(over="ignore"):
+        den = (lam ** 2 + w ** 2) ** d
+    _check_denominator("h2", params, w, den)
     # (1 - cos w)/w^2 = (sin(w/2)/(w/2))^2 / 2, stable for small w
-    out[nz] = 0.5 * (np.sin(0.5 * w) / (0.5 * w)) ** 2 \
-        / (2.0 * np.pi * (lam ** 2 + w ** 2) ** d)
+    out[nz] = 0.5 * (np.sin(0.5 * w) / (0.5 * w)) ** 2 / (2.0 * np.pi * den)
     return float(out) if out.ndim == 0 else out
 
 

@@ -71,15 +71,9 @@ _MIN_STEP_DRAWS = 4096
 
 @dataclass(frozen=True)
 class JumpLaw:
-    def second_moment(self) -> float:
-        raise NotImplementedError
-
-    def char_fn(self, theta):
-        """E[exp(i theta J)] (real by symmetry)."""
-        raise NotImplementedError
-
-    def sample(self, rng, n) -> np.ndarray:
-        raise NotImplementedError
+    """Base of the jump laws.  A law J provides second_moment(), E[J^2];
+    char_fn(theta), E[exp(i theta J)] (real by symmetry); and sample(rng, n),
+    n i.i.d. sizes."""
 
 
 @dataclass(frozen=True)
@@ -211,8 +205,7 @@ def char_exponent(spec, theta):
     theta = np.asarray(theta, dtype=float)
     if isinstance(spec, CompoundPoisson):
         psi = spec.intensity * (spec.jump_law.char_fn(theta) - 1.0)
-        return psi.astype(complex) if psi.ndim else complex(psi)
-    if isinstance(spec, TemperedStable):
+    elif isinstance(spec, TemperedStable):
         a, lam, c = spec.alpha, spec.lambda_noise, spec.scale
         if a == 1.0:
             # alpha -> 1 limit of the general form below
@@ -221,11 +214,11 @@ def char_exponent(spec, theta):
         else:
             z = (lam + 1j * theta) ** a
             psi = c * gamma_fn(-a) * (2.0 * z.real - 2.0 * lam ** a)
-        return psi.astype(complex) if np.ndim(psi) else complex(psi)
-    if isinstance(spec, GaussianValidation):
+    elif isinstance(spec, GaussianValidation):
         psi = -0.5 * (spec.sigma * theta) ** 2
-        return psi.astype(complex) if psi.ndim else complex(psi)
-    raise TypeError(f"unknown driver spec {spec!r}")
+    else:
+        raise TypeError(f"unknown driver spec {spec!r}")
+    return psi.astype(complex) if np.ndim(psi) else complex(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +263,6 @@ def _compound_poisson(rng, rate, n, jumps):
     total = rng.poisson(rate * n)
     cells = rng.integers(0, n, total)
     return np.bincount(cells, jumps(total), minlength=n)
-
-
-def _rejection(rng, n, propose, accept_prob):
-    """n draws of propose(k) kept with probability accept_prob(candidates);
-    each round proposes for all missing draws, then draws one uniform each."""
-    out = np.empty(n)
-    todo = np.arange(n)
-    while todo.size:
-        cand = propose(todo.size)
-        acc = rng.random(todo.size) < accept_prob(cand)
-        out[todo[acc]] = cand[acc]
-        todo = todo[~acc]
-    return out
 
 
 # buckets of U in (0, pi) of the squeeze of _tilted_subordinator
@@ -336,9 +316,17 @@ def _tilted_subordinator(rng, alpha, lam, c, dt, n):
 
 
 def _truncated_jump_sizes(rng, alpha, lam, eps, n):
-    """Jump sizes with density prop. to x^{-1-alpha} e^{-lam x} on (eps, inf)."""
-    return _rejection(rng, n, lambda k: eps * rng.random(k) ** (-1.0 / alpha),
-                      lambda x: np.exp(-lam * (x - eps)))
+    """Jump sizes with density prop. to x^{-1-alpha} e^{-lam x} on (eps, inf):
+    each round draws a Pareto proposal x for every missing size, then one
+    uniform each, keeping x with probability e^{-lam (x - eps)}."""
+    out = np.empty(n)
+    todo = np.arange(n)
+    while k := todo.size:
+        cand = eps * rng.random(k) ** (-1.0 / alpha)
+        acc = rng.random(k) < np.exp(-lam * (cand - eps))
+        out[todo[acc]] = cand[acc]
+        todo = todo[~acc]
+    return out
 
 
 def _tempered_stable_increments(spec, dt, n, rng):
@@ -391,20 +379,20 @@ DRIVER_DEFAULTS = {"driver": "cpois", "jumps": "uniform", "intensity": 1.0, "a":
                    "scale": 1.0, "sigma": 1.0}
 
 
+# --jumps -> (jump law, the config key of its parameter)
+_JUMP_LAWS = {"uniform": (UniformSymmetric, "a"), "gauss": (GaussianJumps, "jump_sigma"),
+              "twopoint": (TwoPoint, "c")}
+
+
 def spec_from_config(cfg: dict):
     """Driver spec from a flat config's driver keys; missing ones take DRIVER_DEFAULTS."""
     cfg = {**DRIVER_DEFAULTS, **cfg}
     kind = cfg["driver"]
     if kind == "cpois":
-        jumps = cfg["jumps"]
-        if jumps == "uniform":
-            law = UniformSymmetric(float(cfg["a"]))
-        elif jumps == "gauss":
-            law = GaussianJumps(float(cfg["jump_sigma"]))
-        elif jumps == "twopoint":
-            law = TwoPoint(float(cfg["c"]))
-        else:
-            raise ValueError(f"unknown jump law {jumps!r}")
+        if cfg["jumps"] not in _JUMP_LAWS:
+            raise ValueError(f"unknown jump law {cfg['jumps']!r}")
+        make, key = _JUMP_LAWS[cfg["jumps"]]
+        law = make(float(cfg[key]))
         return CompoundPoisson(float(cfg["intensity"]), law)
     if kind == "tstable":
         return TemperedStable(float(cfg["alpha"]), float(cfg["lambda_noise"]),

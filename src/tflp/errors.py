@@ -12,10 +12,14 @@ exception families, not individual classes, to its exit codes:
 
 Exit 1 is reserved for a verification battery that ran and failed.
 
-MAX_CELLS is the one size budget: the most fine cells a simulation, points
-a --range, or expected jumps or sub-step draws a driver sampler may use.
-check_budget raises ToleranceError over it, before anything is allocated
-or drawn.
+MAX_CELLS is the one size budget: the most fine cells a simulation, values
+its paths (an ensemble's paths times their points), points a --range, or
+expected jumps or sub-step draws a driver sampler may use.  check_budget
+raises ToleranceError over it, before anything is allocated or drawn.
+
+ToleranceError is also raised where a closed form leaves double range:
+among others, the acvf1 stencil integral at extreme d, and a spectral
+display whose denominator falls below the normal range.
 """
 
 __all__ = ["ParameterError", "ToleranceError"]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import frac_derivative_minus, frac_integral_minus
-from .driver import LevyDriverSpec, sample_increments, second_moment
+from .driver import LevyDriverSpec, check_seed, sample_increments, second_moment
 from .errors import ToleranceError
 from .grids import GridFunction, SampleGrid, SamplePath
 from .processes import TemperedParams, truncation_width
@@ -210,8 +210,10 @@ def integrate_general(f, params: TemperedParams, driver: LevyDriverSpec,
     with f transformed once; draw i takes its increments from RNG stream i.
 
     Returns (draws, transform); the transform's EL2 * norm**2 is the
-    exact variance of each draw, which is the testable isometry.
+    exact variance of each draw, which is the testable isometry.  The seed
+    is checked before f is transformed.
     """
+    check_seed(seed)
     tr = transform_integrand(f, params, target, grid=grid, dx=dx)
     g, F = tr.transformed.grid, tr.transformed.values[:-1]
     # np.sum, not F @ dL: a BLAS dot product may sum in another order

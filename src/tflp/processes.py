@@ -17,7 +17,8 @@ so the (t-x)^d curvature or singularity at x = t is integrated in
 closed form rather than sampled.  The kernel lives on (-infinity, t];
 the domain is truncated on the left where the exponential taper makes
 the neglected mass provably small; more than errors.MAX_CELLS fine
-cells raise ToleranceError before any allocation.
+cells, or values of an ensemble, raise ToleranceError before any
+allocation.
 
 The smooth regime (d > 1/2) is the same sum with another quadrature of
 the kernel window: the means of its values at the two cell edges, which
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .driver import LevyDriverSpec, sample_increments
+from .driver import LevyDriverSpec, check_seed, sample_increments
 from .errors import check_budget
 from .grids import SampleGrid, SamplePath, next_fast_len
 from .special import cell_moments, gamma_fn, lower_gamma, upper_gamma_on_grid
@@ -246,7 +247,10 @@ def _simulate_streams(kind, params, grid, driver, trunc_width, seed, refine,
                       streams, smooth=False):
     """Paths of the given RNG streams, one row each, from one kernel
     spectrum; returns the (len(streams), n_points) array and the
-    truncation width.  smooth selects the edge-mean kernel weights."""
+    truncation width.  smooth selects the edge-mean kernel weights.  The
+    seed and the size of that array are checked before any work."""
+    check_seed(seed)
+    check_budget(len(streams) * (grid.n_cells + 1), "simulate: path values")
     R, dt, n_hist, n_fine, fine = _prepare(kind, params, grid, trunc_width, refine)
     n = n_hist + n_fine
     # r is a temporary: only its spectrum or reversed copy stays

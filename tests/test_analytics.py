@@ -354,6 +354,20 @@ def test_acvf_tfln1_stencil_rule_relative_to_mpmath(d, lam, h):
     assert abs(acvf_tfln1(p, h) / _acvf1_mpmath(d, lam, h) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("d, h", [(130.0, 2.0), (130.0, 5.0), (150.0, 2.0), (150.0, 5.0),
+                                  (165.0, 2.0), (200.0, 5.0)])
+def test_acvf_tfln1_at_large_d_is_right_or_raises(d, h):
+    # at lam = 1 the stencil's g overflows from d = 151.2 on (lag 2); the
+    # integral was nan, written with exit 0, where 150-digit mpmath gives
+    # 6.5433e-05 at d = 165, lag 2
+    p = TemperedParams(d, 1.0)
+    if d < 151.0:
+        assert abs(acvf_tfln1(p, h) / _acvf1_mpmath(d, 1.0, h, extra=110) - 1.0) < 2e-13
+    else:
+        with pytest.raises(ToleranceError, match=f"at lag {h:g}, d = {d:g}, lambda = 1 "):
+            acvf_tfln1(p, h)
+
+
 def _acvf2_mpmath(d, lam, h, extra=0):
     """gamma2(h) = K [H(h+1) - 2 H(h) + H(h-1)] from the closed form of the
     module docstring (Bessel K, Struve L) in mpmath, with digits to spare
@@ -548,6 +562,24 @@ def test_analytic_curves_match_oracles_over_the_domain(d, lam):
     for h in (5.0 / lam, 7.3 / lam, 10.0 / lam):
         lo, hi = acvf_tfln2_asymptotic_band(p, h)
         assert lo <= acvf2_ref(h) <= hi, h
+
+
+@pytest.mark.parametrize("spec, omega, where", [
+    (spec_density_tfln1, [0.0, 0.01, 1.0], "h1 at d = 100, lambda = 0.01, omega = 0.01:"),
+    (spec_density_tfln2, [1.0, 0.0], "h2 at d = 100, lambda = 0.01, omega = 0:"),
+    (spec_density_tfln2, [0.01, 1.0], "h2 at d = 100, lambda = 0.01, omega = 0.01:")],
+    ids=["h1", "h2-zero", "h2"])
+def test_spectral_displays_raise_where_their_denominators_underflow(spec, omega, where):
+    # at d = 100, lam = 0.01 (lam^2 + omega^2)^(d+1) underflows near omega = 0:
+    # h1 was [nan, inf, 0.0724] at [0, 0.01, 1], and h2(0) a bare
+    # "float division by zero"
+    p = TemperedParams(100.0, 0.01)
+    with pytest.raises(ToleranceError, match=where):
+        spec(p, omega)
+    # h1(0) = 0 whatever its denominator; further out both are doubles
+    assert spec_density_tfln1(p, 0.0) == 0.0
+    np.testing.assert_array_equal(spec(p, [1.0, 2.0]), [spec(p, 1.0), spec(p, 2.0)])
+    assert 0.0 < spec(p, 1.0) < np.inf
 
 
 def test_spec_density_tfln2_zero_frequency_limit():

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 import tflp
-from tflp import cli, errors
+from tflp import cli, errors, processes
 from tflp.calculus import frac_integral_minus
 from tflp.cli import main, read_csv
 from tflp.driver import (CompoundPoisson, TemperedStable, UniformSymmetric,
@@ -445,6 +445,27 @@ def test_cell_budget_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_ensemble_budget_and_seed_exit_before_the_kernel(tmp_path, monkeypatch, capsys):
+    # --ensemble 100000000 built the kernel, then died allocating 191 GiB with
+    # numpy's _ArrayMemoryError and exit 1, the code of a failed
+    # verification; a bad seed was found only when sampling
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel was built before the inputs were checked")
+    monkeypatch.setattr(processes, "_kernel_cells", no_kernel)
+    out = tmp_path / "x.csv"
+    simulate = ["simulate", "tflp1", "--d", "0.3", "--lambda", "0.5", "--out", out]
+    for flags, code, what in ((["--n", "256", "--ensemble", "100000000"], 3, "path values ("),
+                              (["--seed", "-1"], 2, "seed must lie in")):
+        assert run([*simulate, *flags]) == code
+        assert what in capsys.readouterr().err
+        assert not out.exists()
+    # 200 paths of 9 values against a budget of 1000
+    monkeypatch.setattr(errors, "MAX_CELLS", 1000)
+    assert run([*simulate, "--tmax", "1", "--n", "8", "--refine", "1",
+                "--ensemble", "200"]) == 3
+    assert "path values (1800) exceed the budget of 1000" in capsys.readouterr().err
+
+
 def test_draw_budget_exits_3(tmp_path, monkeypatch, capsys):
     out = tmp_path / "x.csv"
     # 1e15 jumps per unit time ended in a MemoryError traceback
@@ -541,6 +562,26 @@ def test_sub_step_budget_bounds_time_on_short_grids(tmp_path, capsys):
     ("analytic acvf2 --d 1.3 --lambda 1e-100 --range 0:3:1 --out {tmp}/x.csv", {}, 0),
     ("analytic acvf1 --d 10 --lambda 1e-20 --range 2:3:1 --out {tmp}/x.csv", {}, 3),
     ("analytic acvf2band --d 10 --lambda 1e-20 --range 2:3:1 --out {tmp}/x.csv", {}, 3),
+    # past d = 151 at lam = 1 acvf1's stencil integral overflows, and at d = 200,
+    # lam = 0.01 the displays' denominators underflow near omega = 0: these
+    # wrote nan and inf with exit 0, or a bare "float division by zero"
+    ("analytic acvf1 --d 200 --lambda 1 --range 2:4:1 --out {tmp}/x.csv", {}, 3),
+    ("analytic acvf1 --d 150 --lambda 1 --range 2:6:3 --out {tmp}/x.csv", {}, 0),
+    ("analytic spec1 --d 200 --lambda 0.01 --range 0.01:0.03:0.01 --out {tmp}/x.csv", {}, 3),
+    ("analytic spec1 --d 200 --lambda 0.01 --range 0:0.005:0.01 --out {tmp}/x.csv", {}, 0),
+    ("analytic spec2 --d 200 --lambda 0.01 --range 0:0.03:0.01 --out {tmp}/x.csv", {}, 3),
+    # lam^2 overflowed a float power with a bare "Numerical result out of
+    # range"; the displays flush to 0 there, save type II with d < 0
+    ("analytic spec1 --d 0.3 --lambda 1e200 --range 0:1:0.5 --out {tmp}/x.csv", {}, 0),
+    ("analytic spec2 --d 1 --lambda 1e200 --range 0:1:0.5 --out {tmp}/x.csv", {}, 0),
+    ("analytic spec2 --d -0.3 --lambda 1e200 --range 0:1:0.5 --out {tmp}/x.csv", {}, 3),
+    # type II at d = 0, an unknown jump law or driver, and a noise of one lag
+    ("simulate tflp2 --d 0 --lambda 1 --tmax 1 --n 8 --out {tmp}/x.csv", {}, 2),
+    ("simulate tflp1 --d 0.3 --lambda 1 --tmax 1 --n 8 --jumps nosuch --out {tmp}/x.csv",
+     {}, 2),
+    ("simulate tflp1 --d 0.3 --lambda 1 --tmax 1 --n 8 --driver nosuch --out {tmp}/x.csv",
+     {}, 2),
+    ("simulate tfln1 --d 0.3 --lambda 1 --tmax 1 --n 8 --out {tmp}/x.csv", {}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, code):
     for name, text in files.items():
@@ -549,6 +590,7 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, files, cod
     err = capsys.readouterr().err
     assert err.startswith({0: "", 2: "parameter error: ", 3: "tolerance error: "}[code])
     assert "Traceback" not in err and "Numerical result out of range" not in err
+    assert "division by zero" not in err
 
 
 def test_read_csv_reports_bad_rows_by_line(tmp_path):

@@ -268,11 +268,19 @@ def test_rekeyed_generator_draws_as_a_fresh_one(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 32, 2 ** 32 + 5, 2 ** 64])
-def test_seed_outside_32_bits_is_a_parameter_error(seed):
+def test_seed_outside_32_bits_is_a_parameter_error(seed, monkeypatch):
     # Philox is keyed (seed << 32) + stream in uint64: a seed of 2^32 or more
-    # would alias the seed below it mod 2^32, a negative one overflow the key
+    # would alias the seed below it mod 2^32, a negative one overflow the key.
+    # The simulators and integrate_general reject it before any work: they
+    # once built the kernel or transformed f first
+    from tflp import integration, processes
     from tflp.integration import ElementaryFunction, integrate_general
     from tflp.processes import TemperedParams, simulate_ensemble, simulate_tflp1
+
+    def late(*args, **kwargs):
+        raise AssertionError("work began before the seed was checked")
+    monkeypatch.setattr(processes, "_kernel_cells", late)
+    monkeypatch.setattr(integration, "transform_integrand", late)
     spec, grid, p = CompoundPoisson(1.0, UniformSymmetric(1.0)), SampleGrid(0.0, 1.0, 8), \
         TemperedParams(0.2, 1.0)
     calls = [lambda: sample_increments(spec, grid, seed),
@@ -366,6 +374,20 @@ def test_config_roundtrip():
     ]
     for cfg, spec in cases:
         assert spec_from_config(cfg) == spec
+    for cfg, message in (({"driver": "cpois", "jumps": "nosuch"}, "unknown jump law 'nosuch'"),
+                         ({"driver": "nosuch"}, "unknown driver kind 'nosuch'")):
+        with pytest.raises(ValueError, match=message):
+            spec_from_config(cfg)
+
+
+@pytest.mark.parametrize("call", [
+    second_moment, lambda spec: char_exponent(spec, [0.0, 1.0]),
+    lambda spec: sample_increments(spec, SampleGrid(0.0, 1.0, 4), 0)],
+    ids=["second_moment", "char_exponent", "sample_increments"])
+def test_foreign_spec_is_a_type_error(call):
+    # a jump law passed where a driver belongs
+    with pytest.raises(TypeError, match="driver spec UniformSymmetric"):
+        call(UniformSymmetric(1.0))
 
 
 def test_gaussian_driver_flagged_outside_condition():

@@ -195,6 +195,8 @@ def test_noise_path_reads_unit_lag_differences():
                                   np.diff(path.values[::4]))
     with pytest.raises(ValueError):
         noise_path(path, unit_lag=0.3)
+    with pytest.raises(ValueError, match="at least two lags"):
+        noise_path(path, unit_lag=16.0)
 
 
 def total_variation(values):
@@ -395,6 +397,35 @@ def test_cell_budget_raises_before_allocating(monkeypatch):
         simulate_ensemble("TFLP2", p, g, CP, seed=0, n_paths=2)
     with pytest.raises(ToleranceError, match="budget"):
         simulate_smooth_regime(TemperedParams(0.8, 1.0), g, CP)
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("the kernel was built before the inputs were checked")
+
+
+def test_ensemble_values_budget_raises_before_the_kernel(monkeypatch):
+    # 200 paths of 9 values are 1800 against a budget of 1000, where the
+    # about 190 + 8 fine cells of refine 1 fit; the values were not counted,
+    # so a large --ensemble built the kernel and then failed to allocate
+    monkeypatch.setattr(errors, "MAX_CELLS", 1000)
+    monkeypatch.setattr(processes, "_kernel_cells", _no_kernel)
+    with pytest.raises(ToleranceError, match=r"path values \(1800\) exceed"):
+        simulate_ensemble("TFLP1", TemperedParams(0.3, 1.0), SampleGrid(0.0, 1.0, 8),
+                          CP, seed=0, n_paths=200, refine=1)
+
+
+@pytest.mark.parametrize("kind, d, x_min, refine, message", [
+    ("TFLP3", 0.3, 0.0, 8, "kind must be TFLP1 or TFLP2"),
+    ("TFLP2", 0.0, 0.0, 8, "d = 0 is not admitted"),
+    ("TFLP1", 0.3, 1.0, 8, "must start at t = 0"),
+    ("TFLP1", 0.3, 0.0, 0, "refine must be >= 1")],
+    ids=["kind", "type2-d0", "x_min", "refine"])
+def test_simulation_inputs_are_rejected_before_the_kernel(monkeypatch, kind, d, x_min,
+                                                          refine, message):
+    monkeypatch.setattr(processes, "_kernel_cells", _no_kernel)
+    with pytest.raises(ValueError, match=message):
+        simulate_ensemble(kind, TemperedParams(d, 1.0), SampleGrid(x_min, x_min + 1.0, 8),
+                          CP, seed=0, n_paths=1, refine=refine)
 
 
 _FAR_LAGS = [0, 1, 2, 3, 5, 8, 9, 10, 11, 13, 16, 20, 25, 28, 32, 40, 50, 64, 100,
